@@ -11,6 +11,7 @@ every closed form.
 from .classical import (
     ClassicalAmplitude,
     Envelope,
+    amplitude,
     envelope,
     epsilon,
     junction_phase,
@@ -32,6 +33,7 @@ from .frequency import (
     hamiltonian_coefficients,
     junction_times,
     omega_of,
+    omega_profile,
     region_of,
     switch_end,
     validate_params,
@@ -76,6 +78,7 @@ __all__ = [
     "ToleranceNotMet",
     "Trajectory",
     "WignerGrid",
+    "amplitude",
     "coherence_scan",
     "conserved_pair",
     "derivative",
@@ -95,6 +98,7 @@ __all__ = [
     "junction_phase",
     "junction_times",
     "omega_of",
+    "omega_profile",
     "phase_integral",
     "quadrature",
     "region_of",

@@ -17,16 +17,35 @@ independent integrator:
 
 Exactly at a junction instant the switching-window form is used, matching
 :func:`switchosc.frequency.region_of`.
+
+Each region's closed form is written once and evaluates either on one float
+(:func:`epsilon`, for single instants such as the integrator's start, root
+polishing and finite differences) or on a float array (:func:`amplitude`, which
+builds the three regions from masks and serves every table).  The
+``*_of(eps, eps_dot)`` helpers derive further quantities from either kind.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RangeError
-from .frequency import OscParams, Region, region_of, switch_end, validate_params
+from .frequency import (
+    ARRAY,
+    SCALAR,
+    ElementaryOps,
+    OscParams,
+    Region,
+    final_frequency,
+    initial_frequency,
+    region_masks,
+    region_of,
+    switch_end,
+    validate_params,
+)
 
 
 @dataclass(frozen=True)
@@ -35,6 +54,7 @@ class ClassicalAmplitude:
 
     For any amplitude produced by :func:`epsilon` the Wronskian
     eps*conj(eps_dot) - eps_dot*conj(eps) equals -2i and |eps| never vanishes.
+    (Inside :func:`amplitude` the region pieces fill it with arrays.)
     """
 
     t: float
@@ -48,6 +68,14 @@ class Envelope:
 
     r: float
     r_dot: float
+
+
+def _window_phase(u, p: OscParams, ops: ElementaryOps):
+    # arctan(tan(u)/root)/root; u = pi/2, or one rounding step past it, is a
+    # removable singularity of tan and takes the limit value
+    root = math.sqrt(1.0 + p.alpha * p.omega)
+    return ops.where(u >= 0.5 * math.pi, 0.5 * math.pi / root,
+                     ops.atan(ops.tan(u) / root) / root)
 
 
 def phase_integral(t: float, p: OscParams) -> float:
@@ -65,12 +93,7 @@ def phase_integral(t: float, p: OscParams) -> float:
     t_end = switch_end(p)
     if not 0.0 <= t <= t_end:
         raise RangeError(f"t={t!r} outside the switch window [0, {t_end!r}]")
-    root = math.sqrt(1.0 + p.alpha * p.omega)
-    u = p.omega * t
-    if u >= 0.5 * math.pi:
-        # endpoint, or one rounding step past it: use the limit value
-        return 0.5 * math.pi / root
-    return math.atan(math.tan(u) / root) / root
+    return _window_phase(p.omega * t, p, SCALAR)
 
 
 def junction_phase(p: OscParams) -> float:
@@ -83,74 +106,131 @@ def junction_phase(p: OscParams) -> float:
     return phase_integral(switch_end(p), p)
 
 
-def _eps_before(t: float, p: OscParams) -> ClassicalAmplitude:
+def _times(a, b):
+    # Python's complex product a*b on (re, im) pairs, in its order of operations
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _over(a, x):
+    # Python's complex quotient a/x by a real x > 0 on an (re, im) pair, in its
+    # order of operations; the zero products only fix the sign of a zero part
+    return (a[0] + a[1] * 0.0) / x, (a[1] - a[0] * 0.0) / x
+
+
+# The three region pieces take a float or a float array ``t`` together with
+# the matching ElementaryOps, and need not be called in their own region: the
+# junction tests evaluate both one-sided forms at each junction instant.
+# Complex products are spelled out on (re, im) pairs because numpy's complex
+# arithmetic rounds differently from Python's.
+
+def _eps_before(t, p: OscParams, ops: ElementaryOps = SCALAR) -> ClassicalAmplitude:
     aw = p.alpha * p.omega
-    w0 = p.omega * math.sqrt(1.0 - aw / (1.0 + aw) ** 2)
+    w0 = initial_frequency(p)
     a_coef = math.sqrt((1.0 + aw) / p.omega)
     b_coef = math.sqrt((1.0 + aw) / (p.omega * (1.0 + aw + aw * aw)))
-    c, s = math.cos(w0 * t), math.sin(w0 * t)
+    c, s = ops.cos(w0 * t), ops.sin(w0 * t)
     return ClassicalAmplitude(
         t=t,
-        eps=complex(a_coef * c, b_coef * s),
-        eps_dot=complex(-a_coef * w0 * s, b_coef * w0 * c),
+        eps=ops.complex(a_coef * c, b_coef * s),
+        eps_dot=ops.complex(-a_coef * w0 * s, b_coef * w0 * c),
     )
 
 
-def _eps_switching(t: float, p: OscParams) -> ClassicalAmplitude:
+def _eps_switching(t, p: OscParams, ops: ElementaryOps = SCALAR) -> ClassicalAmplitude:
     aw = p.alpha * p.omega
     u = p.omega * t
-    c = math.cos(u)
-    sigma = math.sqrt(1.0 / p.omega + p.alpha * c * c)
-    phase = cmath.exp(1j * phase_integral(t, p))
+    c = ops.cos(u)
+    sigma = ops.sqrt(1.0 / p.omega + p.alpha * c * c)
+    phi = _window_phase(u, p, ops)
+    phase = (ops.cos(phi), ops.sin(phi))
     # sigma*sigma_dot = -(alpha*omega/2)*sin(2*omega*t)
-    ss_dot = -0.5 * aw * math.sin(2.0 * u)
-    return ClassicalAmplitude(
-        t=t,
-        eps=sigma * phase,
-        eps_dot=phase * complex(ss_dot, 1.0) / sigma,
-    )
+    ss_dot = -0.5 * aw * ops.sin(2.0 * u)
+    eps = _times((sigma, 0.0), phase)
+    eps_dot = _over(_times(phase, (ss_dot, 1.0)), sigma)
+    return ClassicalAmplitude(t=t, eps=ops.complex(*eps), eps_dot=ops.complex(*eps_dot))
 
 
-def _eps_after(t: float, p: OscParams) -> ClassicalAmplitude:
+def _eps_after(t, p: OscParams, ops: ElementaryOps = SCALAR) -> ClassicalAmplitude:
     aw = p.alpha * p.omega
-    w3 = p.omega * math.sqrt(1.0 - aw)
+    w3 = final_frequency(p)
     c_coef = 1.0 / math.sqrt(p.omega)
     d_coef = 1.0 / math.sqrt(p.omega * (1.0 - aw))
     dt = t - switch_end(p)
-    phase = cmath.exp(1j * junction_phase(p))
-    c, s = math.cos(w3 * dt), math.sin(w3 * dt)
-    return ClassicalAmplitude(
-        t=t,
-        eps=phase * complex(c_coef * c, d_coef * s),
-        eps_dot=phase * complex(-c_coef * w3 * s, d_coef * w3 * c),
-    )
+    phi = junction_phase(p)
+    phase = (math.cos(phi), math.sin(phi))
+    c, s = ops.cos(w3 * dt), ops.sin(w3 * dt)
+    eps = _times(phase, (c_coef * c, d_coef * s))
+    eps_dot = _times(phase, (-c_coef * w3 * s, d_coef * w3 * c))
+    return ClassicalAmplitude(t=t, eps=ops.complex(*eps), eps_dot=ops.complex(*eps_dot))
+
+
+_PIECES = {Region.BEFORE: _eps_before, Region.SWITCHING: _eps_switching, Region.AFTER: _eps_after}
 
 
 def epsilon(t: float, p: OscParams) -> ClassicalAmplitude:
     """Amplitude and derivative at time ``t`` from the region's closed form.
 
     Raises:
-        DomainError: if ``p`` is invalid.
+        DomainError: if ``p`` is invalid or ``t`` is not finite.
     """
-    region = region_of(t, p)
-    if region is Region.BEFORE:
-        return _eps_before(t, p)
-    if region is Region.SWITCHING:
-        return _eps_switching(t, p)
-    return _eps_after(t, p)
+    return _PIECES[region_of(t, p)](t, p)
+
+
+def amplitude(ts, p: OscParams) -> tuple[np.ndarray, np.ndarray]:
+    """(eps, eps_dot) at every time of the float array ``ts``, evaluated at once.
+
+    Validates ``p`` once and evaluates each region's closed form on the
+    samples its mask selects.  Gives the doubles :func:`epsilon` gives, except
+    in the last place where numpy's ``sin`` and ``cos`` round differently from
+    the C library's (see :class:`switchosc.frequency.ElementaryOps`).
+
+    Raises:
+        DomainError: if ``p`` is invalid or any time is not finite.
+    """
+    t, before, after = region_masks(ts, p)
+    eps = np.empty(t.shape, dtype=complex)
+    eps_dot = np.empty(t.shape, dtype=complex)
+    for mask, piece in ((before, _eps_before), (~(before | after), _eps_switching),
+                        (after, _eps_after)):
+        amp = piece(t[mask], p, ARRAY)
+        eps[mask] = amp.eps
+        eps_dot[mask] = amp.eps_dot
+    return eps, eps_dot
+
+
+def wronskian_of(eps, eps_dot):
+    """eps*conj(eps_dot) - eps_dot*conj(eps), for complex scalars or arrays."""
+    er, ei, dr, di = eps.real, eps.imag, eps_dot.real, eps_dot.imag
+    a, b = _times((er, ei), (dr, -di)), _times((dr, di), (er, -ei))
+    ops = SCALAR if isinstance(eps, complex) else ARRAY
+    return ops.complex(a[0] - b[0], a[1] - b[1])
 
 
 def wronskian(s: ClassicalAmplitude) -> complex:
     """eps*conj(eps_dot) - eps_dot*conj(eps); equals -2i for solutions."""
-    return s.eps * s.eps_dot.conjugate() - s.eps_dot * s.eps.conjugate()
+    return wronskian_of(s.eps, s.eps_dot)
 
 
-def envelope(t: float, p: OscParams) -> Envelope:
-    """Modulus of the amplitude and its analytic slope (no finite differencing).
+def modulus(eps):
+    """|eps| for a complex scalar or array.
+
+    Arrays take the hypotenuse of the parts, which is what Python's complex
+    abs computes; numpy's complex abs rounds differently.
+    """
+    return abs(eps) if isinstance(eps, complex) else np.hypot(eps.real, eps.imag)
+
+
+def envelope_of(eps, eps_dot):
+    """(r, r_dot) = (|eps|, d|eps|/dt) for complex scalars or arrays.
 
     r_dot follows from d|eps|^2/dt = 2*Re(conj(eps)*eps_dot) and |eps| > 0.
     """
+    r = modulus(eps)
+    return r, (eps.real * eps_dot.real + eps.imag * eps_dot.imag) / r
+
+
+def envelope(t: float, p: OscParams) -> Envelope:
+    """Modulus of the amplitude and its analytic slope (no finite differencing)."""
     amp = epsilon(t, p)
-    r = abs(amp.eps)
-    r_dot = (amp.eps.conjugate() * amp.eps_dot).real / r
+    r, r_dot = envelope_of(amp.eps, amp.eps_dot)
     return Envelope(r=r, r_dot=r_dot)

@@ -17,12 +17,22 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .classical import epsilon, junction_phase, wronskian
+import numpy as np
+
+from .classical import amplitude, epsilon, junction_phase, modulus, wronskian, wronskian_of
 from .errors import DomainError, SwitchOscError
-from .frequency import OscParams, junction_times, omega_of, switch_end, validate_params
+from .frequency import (
+    OscParams,
+    final_frequency,
+    junction_times,
+    omega_of,
+    omega_profile,
+    switch_end,
+    validate_params,
+)
 from .numerics import derivative, integrate_ode, quadrature
-from .quantum import coherence_scan, conserved_pair, first_moments, second_moments
-from .wigner import grid_integral, grid_to_csv, grid_to_json, wigner_grid
+from .quantum import coherence_scan, conserved_pair_of, first_moments_of, second_moments_of
+from .wigner import format_float, grid_integral, grid_to_csv, grid_to_json, wigner_grid
 
 _FLOAT_KEYS = {"alpha", "omega", "mass", "hbar", "z_re", "z_im", "t0", "t1", "t", "n_sigma"}
 _INT_KEYS = {"samples", "grid_n"}
@@ -47,24 +57,19 @@ class RunConfig:
     grid_n: int
 
 
-def _fmt(x: float) -> str:
-    # shortest decimal that round-trips the double exactly
-    return repr(float(x))
-
-
 def _fmt_any(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return _fmt(v)
+        return format_float(v)
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_fmt_any(x) for x in v) + "]"
     return str(v)
 
 
-def _linspace(a: float, b: float, n: int) -> list[float]:
+def _linspace(a: float, b: float, n: int) -> np.ndarray:
     step = (b - a) / (n - 1)
-    pts = [a + i * step for i in range(n)]
+    pts = a + np.arange(n) * step
     pts[-1] = b
     return pts
 
@@ -161,7 +166,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     t1 = _pick(args.t1, file_vals, "t1", None)
     if args.command == "coherence":
         # default scan window: three post-switch periods starting at the switch end
-        w_after = params.omega * math.sqrt(1.0 - params.alpha * params.omega)
+        w_after = final_frequency(params)
         if t0 is None:
             t0 = switch_end(params)
         if t1 is None:
@@ -182,8 +187,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise DomainError(f"t must be finite, got {t!r}")
     n_sigma = _pick(args.n_sigma, file_vals, "n_sigma", 6.0)
     grid_n = int(_pick(args.grid_n, file_vals, "grid_n", 128))
-    if n_sigma < 3.0:
-        raise DomainError(f"n_sigma must be at least 3, got {n_sigma!r}")
+    if not (n_sigma >= 3.0 and math.isfinite(n_sigma)):
+        raise DomainError(f"n_sigma must be finite and at least 3, got {n_sigma!r}")
     if grid_n < 16:
         raise DomainError(f"grid_n must be at least 16, got {grid_n}")
     return RunConfig(command=args.command, params=params, z=z, t0=float(t0), t1=float(t1),
@@ -222,63 +227,63 @@ def _write_text(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit_table(cfg: RunConfig, columns: Sequence[str], rows: list[tuple],
+def _emit_table(cfg: RunConfig, columns: Sequence[str], rows: np.ndarray,
                 extra: Sequence[tuple[str, object]] = ()) -> int:
+    """Write the 2-D float array ``rows`` under ``columns`` as CSV or JSON."""
     if cfg.fmt == "csv":
         lines = [f"# {k} = {_fmt_any(v)}" for k, v in (*_config_items(cfg), *extra)]
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+        # repr of a Python float is format_float's shortest round-trip form
+        lines.extend(",".join(map(repr, row)) for row in rows.tolist())
         text = "\n".join(lines) + "\n"
     else:
         doc: dict = {"config": _config_dict(cfg)}
         for k, v in extra:
             doc[k] = v
         doc["columns"] = list(columns)
-        doc["rows"] = [[float(v) for v in row] for row in rows]
+        doc["rows"] = rows.tolist()
         text = json.dumps(doc, separators=(",", ":")) + "\n"
     _write_text(text, cfg.out)
     return 0
 
 
-def _sample_times(cfg: RunConfig) -> list[float]:
-    # uniform closed grid plus the junction instants, so kinks are sampled exactly
-    ts = _linspace(cfg.t0, cfg.t1, cfg.samples)
-    ts.extend(tj for tj in junction_times(cfg.params) if cfg.t0 < tj < cfg.t1)
-    return sorted(set(ts))
+def _sample_times(cfg: RunConfig) -> np.ndarray:
+    # uniform closed grid plus the junction instants, so kinks are sampled
+    # exactly; sorted and deduplicated by hand, as np.unique imports numpy.ma
+    inner = [tj for tj in junction_times(cfg.params) if cfg.t0 < tj < cfg.t1]
+    ts = np.sort(np.concatenate((_linspace(cfg.t0, cfg.t1, cfg.samples), inner)))
+    return ts[np.append(True, np.diff(ts) > 0.0)]
 
 
 def _cmd_profile(cfg: RunConfig) -> int:
-    rows = [(t, omega_of(t, cfg.params)) for t in _sample_times(cfg)]
-    return _emit_table(cfg, ("t", "omega"), rows)
+    ts = _sample_times(cfg)
+    return _emit_table(cfg, ("t", "omega"), np.column_stack((ts, omega_profile(ts, cfg.params))))
 
 
 def _cmd_epsilon(cfg: RunConfig) -> int:
-    rows = []
-    for t in _sample_times(cfg):
-        amp = epsilon(t, cfg.params)
-        rows.append((t, amp.eps.real, amp.eps.imag, amp.eps_dot.real, amp.eps_dot.imag,
-                     abs(amp.eps), abs(wronskian(amp) + 2j)))
+    ts = _sample_times(cfg)
+    eps, eps_dot = amplitude(ts, cfg.params)
+    rows = np.column_stack((ts, eps.real, eps.imag, eps_dot.real, eps_dot.imag,
+                            modulus(eps), np.abs(wronskian_of(eps, eps_dot) + 2j)))
     cols = ("t", "eps_re", "eps_im", "eps_dot_re", "eps_dot_im", "eps_abs", "wronskian_residual")
     return _emit_table(cfg, cols, rows)
 
 
 def _cmd_phase_diagram(cfg: RunConfig) -> int:
-    rows = []
-    for t in _sample_times(cfg):
-        fm = first_moments(cfg.z, t, cfg.params)
-        q0, p0 = conserved_pair(cfg.z, t, cfg.params)
-        rows.append((t, fm.q_mean, fm.p_mean, q0, p0))
+    ts = _sample_times(cfg)
+    eps, eps_dot = amplitude(ts, cfg.params)
+    q_mean, p_mean = first_moments_of(cfg.z, eps, eps_dot, cfg.params)
+    q0, p0 = conserved_pair_of(cfg.z, eps, eps_dot, cfg.params)
+    rows = np.column_stack((ts, q_mean, p_mean, q0, p0))
     return _emit_table(cfg, ("t", "q_mean", "p_mean", "q0", "p0"), rows)
 
 
 def _cmd_moments(cfg: RunConfig) -> int:
+    ts = _sample_times(cfg)
+    sq2, sp2, cqp = second_moments_of(*amplitude(ts, cfg.params), cfg.params)
     hb2 = cfg.params.hbar * cfg.params.hbar
-    rows = []
-    for t in _sample_times(cfg):
-        cov = second_moments(t, cfg.params)
-        det_res = abs(cov.sq2 * cov.sp2 - cov.cqp * cov.cqp - 0.25 * hb2)
-        rows.append((t, cov.sq2, cov.sp2, cov.cqp, det_res, omega_of(t, cfg.params)))
+    det_res = np.abs(sq2 * sp2 - cqp * cqp - 0.25 * hb2)
+    rows = np.column_stack((ts, sq2, sp2, cqp, det_res, omega_profile(ts, cfg.params)))
     cols = ("t", "sigma_q2", "sigma_p2", "c_qp", "det_residual", "omega")
     return _emit_table(cfg, cols, rows)
 
@@ -289,20 +294,21 @@ def _cmd_wigner(cfg: RunConfig) -> int:
                        resolution=(cfg.grid_n, cfg.grid_n))
     norm = grid_integral(grid)
     extra = [(k, _fmt_any(v)) for k, v in _config_items(cfg)]
-    extra.append(("normalization", _fmt(norm)))
+    extra.append(("normalization", format_float(norm)))
     if cfg.fmt == "csv":
         text = grid_to_csv(grid, comments=tuple(extra))
     else:
         text = grid_to_json(grid, extra_meta=dict(extra))
     _write_text(text, cfg.out)
     if cfg.out is not None:
-        print(f"normalization = {_fmt(norm)}")
+        print(f"normalization = {format_float(norm)}")
     return 0
 
 
 def _cmd_coherence(cfg: RunConfig) -> int:
     scan = coherence_scan(cfg.params, cfg.t0, cfg.t1)
-    rows = [(e.t, e.sq_ratio, e.sp_ratio, e.cqp, e.t_predicted, e.offset) for e in scan.events]
+    rows = np.array([(e.t, e.sq_ratio, e.sp_ratio, e.cqp, e.t_predicted, e.offset)
+                     for e in scan.events], dtype=float).reshape(-1, 6)
     extra: list[tuple[str, object]] = [("always_coherent", scan.always_coherent)]
     if scan.always_coherent:
         extra.append(("uniform_sq_ratio", scan.sq_ratio))
@@ -335,13 +341,10 @@ def build_validation_report(cfg: RunConfig) -> dict:
     start = epsilon(cfg.t0, p)
     traj = integrate_ode(p, cfg.t0, cfg.t1, (start.eps, start.eps_dot), tol=1e-11, t_eval=ts)
     rot = cmath.exp(1j * (reference - computed))
-    err_computed = 0.0
-    err_reference = 0.0
-    for tk, ek in zip(traj.times, traj.eps):
-        ak = epsilon(float(tk), p).eps
-        err_computed = max(err_computed, abs(ak - ek))
-        variant = ak * rot if tk > t_j else ak
-        err_reference = max(err_reference, abs(variant - ek))
+    closed, _ = amplitude(traj.times, p)
+    variant = np.where(traj.times > t_j, closed * rot, closed)
+    err_computed = float(np.max(modulus(closed - traj.eps)))
+    err_reference = float(np.max(modulus(variant - traj.eps)))
     if cfg.t1 <= t_j:
         verdict = "window ends before the post-switch region; no evidence"
     elif err_computed < 1e-6 <= err_reference:
@@ -421,7 +424,7 @@ def build_validation_report(cfg: RunConfig) -> dict:
     })
 
     # -- coherent instants ----------------------------------------------------
-    w_after = p.omega * math.sqrt(1.0 - aw)
+    w_after = final_frequency(p)
     scan = coherence_scan(p, t_j, t_j + 3.0 * (2.0 * math.pi / w_after))
     if scan.always_coherent:
         checks.append({

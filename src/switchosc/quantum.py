@@ -2,7 +2,10 @@
 
 All quantum quantities of the minimum-uncertainty states — the linear
 invariant's coefficients, the conserved pair, first moments, the three second
-moments, and the coherence scan — are pure functions of (eps, eps_dot).
+moments, and the coherence scan — are pure functions of (eps, eps_dot).  The
+``*_of`` functions take (eps, eps_dot) as complex scalars or as the arrays of
+:func:`switchosc.classical.amplitude`; the functions of ``t`` evaluate them at
+one instant.
 """
 
 from __future__ import annotations
@@ -10,9 +13,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classical import ClassicalAmplitude, envelope, epsilon
+import numpy as np
+
+from .classical import ClassicalAmplitude, amplitude, envelope, envelope_of, epsilon
 from .errors import DomainError, RangeError
-from .frequency import OscParams, QuadraticCoefficients, omega_of, switch_end, validate_params
+from .frequency import (
+    OscParams,
+    QuadraticCoefficients,
+    final_frequency,
+    omega_of,
+    switch_end,
+    validate_params,
+)
 from .numerics import find_root
 
 
@@ -107,18 +119,25 @@ def invariant_coefficients(t: float, p: OscParams) -> InvariantCoefficients:
     return InvariantCoefficients(u=u, v=v, omega0=w0)
 
 
-def first_moments(z: SmusState | complex, t: float, p: OscParams) -> FirstMoments:
-    """Mean position and momentum of the state labeled ``z`` at time ``t``.
+def first_moments_of(z: SmusState | complex, eps, eps_dot, p: OscParams):
+    """(<q>, <p>) of the state labeled ``z`` from the amplitude (eps, eps_dot).
 
     q = sqrt(hbar/2m) * 2*Re(eps * conj(z)),
     p = sqrt(hbar*m/2) * 2*Re(eps_dot * conj(z));
     real by construction (the symmetric sum is taken as a real part).
     """
-    validate_params(p)
-    zz = _eigenvalue(z)
+    zc = _eigenvalue(z).conjugate()
+    # Re(eps*conj(z)) spelled out on the parts, as Python's complex product
+    # computes it; numpy's complex product rounds differently
+    q_mean = math.sqrt(p.hbar / (2.0 * p.m)) * 2.0 * (eps.real * zc.real - eps.imag * zc.imag)
+    p_mean = math.sqrt(p.hbar * p.m / 2.0) * 2.0 * (eps_dot.real * zc.real - eps_dot.imag * zc.imag)
+    return q_mean, p_mean
+
+
+def first_moments(z: SmusState | complex, t: float, p: OscParams) -> FirstMoments:
+    """Mean position and momentum of the state labeled ``z`` at time ``t``."""
     amp = epsilon(t, p)
-    q_mean = math.sqrt(p.hbar / (2.0 * p.m)) * 2.0 * (amp.eps * zz.conjugate()).real
-    p_mean = math.sqrt(p.hbar * p.m / 2.0) * 2.0 * (amp.eps_dot * zz.conjugate()).real
+    q_mean, p_mean = first_moments_of(z, amp.eps, amp.eps_dot, p)
     return FirstMoments(q_mean=q_mean, p_mean=p_mean)
 
 
@@ -137,32 +156,42 @@ def general_first_moments(z: SmusState | complex, amp: ClassicalAmplitude,
     return FirstMoments(q_mean=q_mean, p_mean=p_mean)
 
 
-def conserved_pair(z: SmusState | complex, t: float, p: OscParams) -> tuple[float, float]:
-    """Mean values (Q0, P0) of the conserved pair; constant in ``t`` for fixed z.
+def conserved_pair_of(z: SmusState | complex, eps, eps_dot, p: OscParams):
+    """(Q0, P0) of the state labeled ``z`` from the amplitude (eps, eps_dot).
 
     Q0 = (Im(eps_dot)*<q> - Im(eps)*<p>/m) / sqrt(Omega0),
     P0 = sqrt(Omega0) * (-m*Re(eps_dot)*<q> + Re(eps)*<p>).
     """
-    fm = first_moments(z, t, p)
-    amp = epsilon(t, p)
-    w0 = omega_of(0.0, p)
-    rw = math.sqrt(w0)
-    q0 = (amp.eps_dot.imag * fm.q_mean - amp.eps.imag * fm.p_mean / p.m) / rw
-    p0 = rw * (-p.m * amp.eps_dot.real * fm.q_mean + amp.eps.real * fm.p_mean)
+    q_mean, p_mean = first_moments_of(z, eps, eps_dot, p)
+    rw = math.sqrt(omega_of(0.0, p))
+    q0 = (eps_dot.imag * q_mean - eps.imag * p_mean / p.m) / rw
+    p0 = rw * (-p.m * eps_dot.real * q_mean + eps.real * p_mean)
     return q0, p0
 
 
-def second_moments(t: float, p: OscParams) -> CovarianceState:
-    """The three second moments at time ``t``.
+def conserved_pair(z: SmusState | complex, t: float, p: OscParams) -> tuple[float, float]:
+    """Mean values (Q0, P0) of the conserved pair; constant in ``t`` for fixed z."""
+    amp = epsilon(t, p)
+    return conserved_pair_of(z, amp.eps, amp.eps_dot, p)
+
+
+def second_moments_of(eps, eps_dot, p: OscParams):
+    """(sigma_q^2, sigma_p^2, c_qp) from the amplitude (eps, eps_dot).
 
     sq2 = hbar*|eps|^2/(2m), sp2 = (hbar*m/2)*(1/|eps|^2 + r_dot^2),
     cqp = (hbar/2)*|eps|*r_dot, so sq2*sp2 - cqp^2 = hbar^2/4 identically.
     """
-    validate_params(p)
-    env = envelope(t, p)
-    sq2 = p.hbar * env.r * env.r / (2.0 * p.m)
-    sp2 = 0.5 * p.hbar * p.m * (1.0 / (env.r * env.r) + env.r_dot * env.r_dot)
-    cqp = 0.5 * p.hbar * env.r * env.r_dot
+    r, r_dot = envelope_of(eps, eps_dot)
+    sq2 = p.hbar * r * r / (2.0 * p.m)
+    sp2 = 0.5 * p.hbar * p.m * (1.0 / (r * r) + r_dot * r_dot)
+    cqp = 0.5 * p.hbar * r * r_dot
+    return sq2, sp2, cqp
+
+
+def second_moments(t: float, p: OscParams) -> CovarianceState:
+    """The three second moments at time ``t``."""
+    amp = epsilon(t, p)
+    sq2, sp2, cqp = second_moments_of(amp.eps, amp.eps_dot, p)
     return CovarianceState(sq2=sq2, sp2=sp2, cqp=cqp)
 
 
@@ -214,16 +243,16 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
             sp_ratio=cov.sp2 / (p.m * w * half),
         )
 
-    aw = p.alpha * p.omega
-    spacing = math.pi / (2.0 * p.omega * math.sqrt(1.0 - aw))
+    spacing = math.pi / (2.0 * final_frequency(p))
     pred_spacing = math.pi / (4.0 * omega_of(0.0, p))
 
     def slope(x: float) -> float:
         return envelope(x, p).r_dot
 
     n = max(8, math.ceil((t_hi - t_lo) / (spacing / 16.0)))
-    grid = [t_lo + i * (t_hi - t_lo) / n for i in range(n + 1)]
-    values = [slope(x) for x in grid]
+    ts = t_lo + np.arange(n + 1) * (t_hi - t_lo) / n
+    grid = ts.tolist()
+    values = envelope_of(*amplitude(ts, p))[1].tolist()
     roots: list[float] = []
     for i in range(n):
         f0, f1 = values[i], values[i + 1]

@@ -70,15 +70,16 @@ def wigner_grid(t: float, z: SmusState | complex, p: OscParams,
     the marginal standard deviation along each axis.
 
     Raises:
-        DomainError: if a resolution is below 16 or a half width below 3.
+        DomainError: if a resolution is below 16 or a half width is below 3
+            or not finite.
     """
     validate_params(p)
     n_q, n_p = resolution
     hw_q, hw_p = half_widths
     if n_q < 16 or n_p < 16:
         raise DomainError(f"resolution must be at least 16 per axis, got {resolution!r}")
-    if hw_q < 3.0 or hw_p < 3.0:
-        raise DomainError(f"half widths must be at least 3 sigma, got {half_widths!r}")
+    if not all(hw >= 3.0 and math.isfinite(hw) for hw in half_widths):
+        raise DomainError(f"half widths must be finite and at least 3 sigma, got {half_widths!r}")
     fm = first_moments(z, t, p)
     cov = second_moments(t, p)
     s_q = math.sqrt(cov.sq2)
@@ -151,20 +152,20 @@ def grid_moments(g: WignerGrid) -> tuple[FirstMoments, CovarianceState]:
     return FirstMoments(q_mean=q_mean, p_mean=p_mean), CovarianceState(sq2=sq2, sp2=sp2, cqp=cqp)
 
 
-def _fmt(x: float) -> str:
-    # shortest decimal that round-trips the double exactly
+def format_float(x: float) -> str:
+    """Shortest decimal that round-trips the double exactly: the float format of every output."""
     return repr(float(x))
 
 
 def _meta_items(g: WignerGrid) -> list[tuple[str, str]]:
     return [
-        ("t", _fmt(g.t)),
-        ("m", _fmt(g.params.m)),
-        ("hbar", _fmt(g.params.hbar)),
-        ("alpha", _fmt(g.params.alpha)),
-        ("omega", _fmt(g.params.omega)),
-        ("z_re", _fmt(g.z.real)),
-        ("z_im", _fmt(g.z.imag)),
+        ("t", format_float(g.t)),
+        ("m", format_float(g.params.m)),
+        ("hbar", format_float(g.params.hbar)),
+        ("alpha", format_float(g.params.alpha)),
+        ("omega", format_float(g.params.omega)),
+        ("z_re", format_float(g.z.real)),
+        ("z_im", format_float(g.z.imag)),
         ("n_q", str(len(g.q_axis))),
         ("n_p", str(len(g.p_axis))),
     ]
@@ -178,11 +179,12 @@ def grid_to_csv(g: WignerGrid, comments: tuple[tuple[str, str], ...] = ()) -> st
     """
     lines = [f"# {k} = {v}" for k, v in (*_meta_items(g), *comments)]
     lines.append("q,p,w")
-    for i, qv in enumerate(g.q_axis):
-        row = g.values[i]
-        q_s = _fmt(qv)
-        for j, pv in enumerate(g.p_axis):
-            lines.append(f"{q_s},{_fmt(pv)},{_fmt(row[j])}")
+    # repr of a Python float is format_float; each axis value is formatted
+    # once, and one row of values at a time is converted to Python floats
+    p_strs = [repr(pv) for pv in g.p_axis.tolist()]
+    for qv, row in zip(g.q_axis.tolist(), g.values):
+        q_s = repr(qv)
+        lines.extend(f"{q_s},{p_s},{w!r}" for p_s, w in zip(p_strs, row.tolist()))
     return "\n".join(lines) + "\n"
 
 

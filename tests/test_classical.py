@@ -9,12 +9,15 @@ adaptive Runge-Kutta integrator.
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from switchosc import (
     ClassicalAmplitude,
+    DomainError,
     OscParams,
     RangeError,
+    amplitude,
     envelope,
     epsilon,
     find_root,
@@ -27,6 +30,7 @@ from switchosc import (
     wronskian,
 )
 from switchosc.classical import _eps_after, _eps_before, _eps_switching
+from switchosc.frequency import ARRAY
 
 FIG = OscParams()
 FLAT = OscParams(alpha=0.0)
@@ -111,6 +115,20 @@ class TestAmplitude:
         left, right = _eps_switching(TJ, FIG), _eps_after(TJ, FIG)
         assert abs(left.eps - right.eps) < 1e-10
         assert abs(left.eps_dot - right.eps_dot) < 1e-10
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, t):
+        with pytest.raises(DomainError):
+            epsilon(t, FIG)
+        with pytest.raises(DomainError):
+            amplitude(np.array([-1.0, t]), FIG)
+
+    def test_array_kernel_keeps_junction_instants_in_the_window(self):
+        # the one-sided forms agree to ~1e-16 there, so only equality tells them apart
+        ts = np.array([0.0, TJ])
+        eps, eps_dot = amplitude(ts, FIG)
+        window = _eps_switching(ts, FIG, ARRAY)
+        assert np.array_equal(eps, window.eps) and np.array_equal(eps_dot, window.eps_dot)
 
     @pytest.mark.parametrize("t", [-3.2, -0.7, 0.3, 1.1, 1.5, 2.5, 7.9])
     def test_derivative_matches_central_difference(self, t):

@@ -2,11 +2,16 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import switchosc
+from switchosc import OscParams, conserved_pair, epsilon, first_moments, omega_of, second_moments
 from switchosc.cli import main
 
 FIG_Q0 = 1.7320508075688772  # sqrt(3)
@@ -171,6 +176,8 @@ class TestWigner:
     def test_too_coarse_grid_rejected(self, capsys):
         assert run(capsys, "wigner", "--grid-n", "4")[0] == 2
         assert run(capsys, "wigner", "--n-sigma", "1")[0] == 2
+        assert run(capsys, "wigner", "--n-sigma", "nan")[0] == 2
+        assert run(capsys, "wigner", "--n-sigma", "inf")[0] == 2
 
 
 class TestCoherence:
@@ -282,6 +289,45 @@ class TestJsonTables:
         assert len(doc["rows"][0]) == len(doc["columns"])
 
 
+def _scalar_row(command: str, t: float, p: OscParams, z: complex) -> list:
+    """The library's one-instant values for a table row; None marks a residual."""
+    if command == "profile":
+        return [t, omega_of(t, p)]
+    if command == "epsilon":
+        a = epsilon(t, p)
+        return [t, a.eps.real, a.eps.imag, a.eps_dot.real, a.eps_dot.imag, abs(a.eps), None]
+    if command == "phase-diagram":
+        fm = first_moments(z, t, p)
+        return [t, fm.q_mean, fm.p_mean, *conserved_pair(z, t, p)]
+    cov = second_moments(t, p)
+    return [t, cov.sq2, cov.sp2, cov.cqp, None, omega_of(t, p)]
+
+
+class TestTablesMatchTheScalarLibrary:
+    @pytest.mark.parametrize("alpha", ["0.5", "0.97"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["profile", "epsilon", "phase-diagram", "moments"])
+    def test_every_row_matches(self, capsys, command, fmt, alpha):
+        code, out, _ = run(capsys, command, "--format", fmt, "--alpha", alpha,
+                           "--samples", "301", "--t0", "-4", "--t1", "9")
+        assert code == 0
+        if fmt == "csv":
+            _, _, rows = parse_csv(out)
+        else:
+            rows = json.loads(out)["rows"]
+        got = np.array(rows)
+        p = OscParams(alpha=float(alpha))
+        want = [_scalar_row(command, t, p, 1.0 + 0.2j) for t in got[:, 0].tolist()]
+        assert math.pi / 2.0 in got[:, 0] and 0.0 in got[:, 0]
+        for j in range(got.shape[1]):
+            if want[0][j] is None:
+                assert np.all(got[:, j] < 1e-10)
+                continue
+            col = np.array([row[j] for row in want])
+            tol = 16 * np.spacing(np.max(np.abs(col)))
+            assert np.all(np.abs(got[:, j] - col) <= tol), f"column {j}"
+
+
 class TestEntryPoints:
     def test_missing_subcommand_is_a_usage_error(self, capsys):
         assert run(capsys)[0] == 2
@@ -290,11 +336,16 @@ class TestEntryPoints:
         assert run(capsys, "--help")[0] == 0
 
     def test_module_execution(self):
+        # the child imports the same switchosc as this process, installed or not
+        src = str(Path(switchosc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
         proc = subprocess.run(
             [sys.executable, "-m", "switchosc", "profile", "--samples", "2",
              "--t0", "0", "--t1", "1"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "t,omega" in proc.stdout

@@ -8,6 +8,7 @@ asserted here:
 
 import math
 
+import numpy as np
 import pytest
 
 from switchosc import (
@@ -17,6 +18,7 @@ from switchosc import (
     hamiltonian_coefficients,
     junction_times,
     omega_of,
+    omega_profile,
     region_of,
     switch_end,
     validate_params,
@@ -67,6 +69,15 @@ class TestRegions:
         assert region_of(tj - 1e-12, FIG) is Region.SWITCHING
         assert region_of(tj, FIG) is Region.SWITCHING
         assert region_of(tj + 1e-12, FIG) is Region.AFTER
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, t):
+        with pytest.raises(DomainError):
+            region_of(t, FIG)
+        with pytest.raises(DomainError):
+            omega_of(t, FIG)
+        with pytest.raises(DomainError):
+            omega_profile(np.array([0.0, t, 1.0]), FIG)
 
     def test_junction_times(self):
         assert junction_times(FIG) == (0.0, math.pi / 2.0)

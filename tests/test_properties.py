@@ -1,16 +1,20 @@
 """Algebraic invariants under randomized valid parameters and times."""
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from switchosc import (
     OscParams,
     QuadraticCoefficients,
+    amplitude,
     conserved_pair,
     epsilon,
     first_moments,
     general_first_moments,
     general_second_moments,
     invariant_coefficients,
+    omega_of,
+    omega_profile,
     phase_integral,
     second_moments,
     switch_end,
@@ -32,6 +36,25 @@ labels = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=F
 @given(p=valid_params, t=times)
 def test_wronskian_is_minus_two_i(p, t):
     assert abs(wronskian(epsilon(t, p)) + 2j) < 1e-10
+
+
+@settings(deadline=None)
+@given(p=valid_params, ts=st.lists(times, max_size=30))
+def test_array_kernel_matches_the_scalar_path(p, ts):
+    # both junction instants always, where the region masks must agree with region_of
+    ts = np.array([0.0, switch_end(p), *ts])
+    eps, eps_dot = amplitude(ts, p)
+    amps = [epsilon(t, p) for t in ts.tolist()]
+    columns = (
+        (eps.real, [a.eps.real for a in amps]),
+        (eps.imag, [a.eps.imag for a in amps]),
+        (eps_dot.real, [a.eps_dot.real for a in amps]),
+        (eps_dot.imag, [a.eps_dot.imag for a in amps]),
+        (omega_profile(ts, p), [omega_of(t, p) for t in ts.tolist()]),
+    )
+    for got, want in columns:
+        want = np.array(want)
+        assert np.all(np.abs(got - want) <= 16 * np.spacing(np.max(np.abs(want))))
 
 
 @settings(deadline=None)

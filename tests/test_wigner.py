@@ -103,6 +103,9 @@ class TestGrid:
             wigner_grid(0.0, Z, FIG, resolution=(8, 64))
         with pytest.raises(DomainError):
             wigner_grid(0.0, Z, FIG, half_widths=(2.0, 6.0))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                wigner_grid(0.0, Z, FIG, half_widths=(6.0, bad))
 
     def test_normalization_default_grid(self):
         g = wigner_grid(0.0, Z, FIG)
@@ -172,6 +175,15 @@ class TestExport:
         assert float(q) == g.q_axis[0] and float(p) == g.p_axis[0] and float(w) == g.values[0, 0]
         q, p, w = lines[-1].split(",")
         assert float(w) == g.values[-1, -1]
+
+    def test_csv_parses_back_to_the_grid_exactly(self):
+        g = wigner_grid(0.3, Z, FIG, resolution=(17, 24))
+        lines = [ln for ln in grid_to_csv(g).splitlines() if not ln.startswith("#")]
+        cells = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        q, p, w = cells.reshape(17, 24, 3).transpose(2, 0, 1)
+        assert np.array_equal(q[:, 0], g.q_axis) and np.all(q == q[:, :1])
+        assert np.array_equal(p[0], g.p_axis) and np.all(p == p[:1])
+        assert np.array_equal(w, g.values)
 
     def test_csv_carries_metadata_and_extra_comments(self):
         g = wigner_grid(0.25, Z, FIG, resolution=(16, 16))
