@@ -2,9 +2,9 @@
 
 The frequency is constant in the past, decreases smoothly over the window
 [0, pi/(2*omega)], and is constant (and lower) afterwards.  Every other module
-evaluates the switch through :func:`omega_of` (one instant), :func:`omega_profile`
-(an array of instants) and :func:`region_masks`, so the three-region
-bookkeeping lives in one place.
+evaluates the switch through :func:`omega_of` (one instant; :func:`omega_unchecked`
+for a caller that validated once), :func:`omega_profile` (an array of instants)
+and :func:`region_masks`, so the three-region bookkeeping lives in one place.
 """
 
 from __future__ import annotations
@@ -82,15 +82,19 @@ def junction_times(p: OscParams) -> tuple[float, float]:
     return 0.0, switch_end(p)
 
 
+def _check_instant(t: float, p: OscParams) -> None:
+    validate_params(p)
+    if not math.isfinite(t):
+        raise DomainError(f"time must be finite, got {t!r}")
+
+
 def region_of(t: float, p: OscParams) -> Region:
     """Classify ``t``; both boundary instants belong to the switching window.
 
     Raises:
         DomainError: if ``p`` is invalid or ``t`` is not finite.
     """
-    validate_params(p)
-    if not math.isfinite(t):
-        raise DomainError(f"time must be finite, got {t!r}")
+    _check_instant(t, p)
     if t < 0.0:
         return Region.BEFORE
     if t <= switch_end(p):
@@ -177,10 +181,20 @@ def omega_of(t: float, p: OscParams) -> float:
     Raises:
         DomainError: if ``p`` is invalid or ``t`` is not finite.
     """
-    region = region_of(t, p)
-    if region is Region.BEFORE:
+    _check_instant(t, p)
+    return omega_unchecked(t, p)
+
+
+def omega_unchecked(t: float, p: OscParams) -> float:
+    """:func:`omega_of` without its checks, for a caller that made them once.
+
+    ``p`` must be valid and ``t`` finite; the regions are those of
+    :func:`region_of`.  The integrator's right-hand side calls this on every
+    stage.
+    """
+    if t < 0.0:
         c = 1.0
-    elif region is Region.SWITCHING:
+    elif t <= switch_end(p):
         c = math.cos(p.omega * t)
     else:
         c = 0.0

@@ -8,34 +8,58 @@ whenever a closed form is in doubt.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, NoSignChange, RangeError, ToleranceNotMet
-from .frequency import OscParams, junction_times, omega_of, validate_params
+from .frequency import OscParams, junction_times, omega_unchecked, validate_params
 
 # Dormand-Prince 5(4) pair.  The fifth-order solution is propagated; the
-# embedded fourth-order difference drives the step controller.
+# embedded fourth-order difference drives the step controller.  The last row
+# of _A equals _B5 (whose seventh weight is zero), so the seventh stage is
+# evaluated at the new state.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_ERR = _B5 - _B4
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+_STAGES = tuple(zip(_C[1:], _A[1:]))
+_ORIGIN = (0.0, 0.0, 0.0, 0.0)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+
+
+@dataclass(frozen=True)
+class IntegratorStats:
+    """What one :func:`integrate_ode` call did.
+
+    ``rhs_calls`` is seven per attempted step; ``junction_stops`` counts the
+    accepted steps that ended on a region junction placed among the stops
+    (none when junctions are not forced).  ``min_step`` and ``max_step``
+    range over the accepted steps.
+    """
+
+    accepted: int
+    rejected: int
+    rhs_calls: int
+    junction_stops: int
+    min_step: float
+    max_step: float
 
 
 @dataclass(frozen=True)
@@ -49,6 +73,7 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray
     tol: float
+    stats: IntegratorStats
 
     @property
     def eps(self) -> np.ndarray:
@@ -59,12 +84,28 @@ class Trajectory:
         return self.states[:, 1]
 
 
-def _dp_step(f, t: float, y: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    k = np.empty((7, y.size))
-    k[0] = f(t, y)
-    for i in range(1, 7):
-        k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
-    return y + h * (_B5 @ k), h * (_ERR @ k)
+def _combine(y: tuple, h: float, coeffs: tuple, ks: list) -> tuple:
+    # y + h * sum_j coeffs[j] * ks[j], component by component
+    s0 = s1 = s2 = s3 = 0.0
+    for a, (k0, k1, k2, k3) in zip(coeffs, ks):
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+        s3 += a * k3
+    return y[0] + h * s0, y[1] + h * s1, y[2] + h * s2, y[3] + h * s3
+
+
+def _error_norm(err: tuple, y: tuple, y_new: tuple, budget: float) -> float:
+    # root mean square of the four error components, each measured against
+    # budget * (1 + the larger magnitude of that component before and after)
+    e0, e1, e2, e3 = err
+    a0, a1, a2, a3 = y
+    b0, b1, b2, b3 = y_new
+    q0 = e0 / (budget * (1.0 + max(abs(a0), abs(b0))))
+    q1 = e1 / (budget * (1.0 + max(abs(a1), abs(b1))))
+    q2 = e2 / (budget * (1.0 + max(abs(a2), abs(b2))))
+    q3 = e3 / (budget * (1.0 + max(abs(a3), abs(b3))))
+    return math.sqrt((q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) / 4.0)
 
 
 def integrate_ode(
@@ -85,7 +126,8 @@ def integrate_ode(
     (mixed absolute/relative scale).  Step boundaries are placed exactly on
     the region junctions inside [t0, t1] — Omega^2 is continuous but not
     smooth there — and exactly on every requested ``t_eval`` point, so no
-    interpolation is ever involved.
+    interpolation is ever involved.  The inputs are validated once, here;
+    each step then runs on the four real state components as floats.
 
     Args:
         init: (eps, eps_dot) at ``t0``.
@@ -97,48 +139,64 @@ def integrate_ode(
             (reproducibility fallback; no error estimate).
 
     Raises:
+        DomainError: if ``p``, ``tol`` or ``fixed_step`` is invalid, or a
+            time or initial value is not finite.
+        RangeError: if a ``t_eval`` point lies outside [t0, t1].
         ToleranceNotMet: if the step size underflows or the step budget
             is exhausted.
     """
     validate_params(p)
     if not 1e-13 <= tol <= 1e-3:
         raise DomainError(f"tol must lie in [1e-13, 1e-3], got {tol!r}")
+    t0, t1 = float(t0), float(t1)
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise DomainError(f"t0 and t1 must be finite, got [{t0!r}, {t1!r}]")
     if not t1 > t0:
         raise DomainError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
     if fixed_step is not None and not fixed_step > 0.0:
         raise DomainError(f"fixed_step must be positive, got {fixed_step!r}")
+    eps0, eps_dot0 = complex(init[0]), complex(init[1])
+    if not (cmath.isfinite(eps0) and cmath.isfinite(eps_dot0)):
+        raise DomainError(f"initial values must be finite, got ({eps0!r}, {eps_dot0!r})")
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        w = omega_of(t, p)
+    def rhs(t: float, y: tuple) -> tuple:
+        y0, y1, y2, y3 = y
+        w = omega_unchecked(t, p)
         w2 = w * w
-        return np.array([y[2], y[3], -w2 * y[0], -w2 * y[1]])
+        return y2, y3, -w2 * y0, -w2 * y1
 
-    y = np.array([init[0].real, init[0].imag, init[1].real, init[1].imag], dtype=float)
+    y = (eps0.real, eps0.imag, eps_dot0.real, eps_dot0.imag)
 
     eval_set: set[float] = set()
     stops: set[float] = {t1}
     if t_eval is not None:
         pts = [float(x) for x in t_eval]
+        if not all(map(math.isfinite, pts)):
+            raise DomainError("t_eval points must be finite")
         if any(x < t0 or x > t1 for x in pts):
             raise RangeError("t_eval points must lie within [t0, t1]")
         eval_set = set(pts)
         stops.update(x for x in pts if x > t0)
+    junctions: set[float] = set()
     if force_junctions:
-        stops.update(tj for tj in junction_times(p) if t0 < tj < t1)
+        junctions = {tj for tj in junction_times(p) if t0 < tj < t1}
+        stops.update(junctions)
     stop_list = sorted(stops)
 
     record_all = t_eval is None
     times: list[float] = []
-    states: list[np.ndarray] = []
+    states: list[tuple] = []
     if record_all or t0 in eval_set:
         times.append(t0)
-        states.append(y.copy())
+        states.append(y)
 
     t = t0
     h = fixed_step if fixed_step is not None else min((t1 - t0) / 64.0, stop_list[0] - t0)
-    tiny = 16.0 * np.finfo(float).eps
+    tiny = 16.0 * sys.float_info.epsilon
+    budget = 0.1 * tol
     si = 0
-    steps = 0
+    steps = accepted = rhs_calls = junction_stops = 0
+    min_step, max_step = math.inf, 0.0
     while t < t1:
         while stop_list[si] <= t:
             si += 1
@@ -148,20 +206,29 @@ def integrate_ode(
             h_try, hit = h, False
         else:
             h_try, hit = gap, True
-        y_new, err = _dp_step(rhs, t, y, h_try)
+        # the last stage's input is the fifth-order solution y_new
+        ks = [rhs(t, y)]
+        for c, a in _STAGES:
+            y_new = _combine(y, h_try, a, ks)
+            ks.append(rhs(t + c * h_try, y_new))
+        rhs_calls += len(ks)
         if fixed_step is None:
             # budget each step a decade below the requested tolerance so the
             # accumulated drift of conserved quantities stays within a few tol
-            scale = 0.1 * tol * (1.0 + np.maximum(np.abs(y), np.abs(y_new)))
-            err_norm = math.sqrt(float(np.mean((err / scale) ** 2)))
+            err = _combine(_ORIGIN, h_try, _ERR, ks)
+            err_norm = _error_norm(err, y, y_new, budget)
         else:
             err_norm = 0.0
         if err_norm <= 1.0:
             t = stop if hit else t + h_try
             y = y_new
+            accepted += 1
+            min_step, max_step = min(min_step, h_try), max(max_step, h_try)
+            if hit and stop in junctions:
+                junction_stops += 1
             if record_all or t in eval_set:
                 times.append(t)
-                states.append(y.copy())
+                states.append(y)
             if fixed_step is None:
                 grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.2
                 h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))
@@ -177,7 +244,9 @@ def integrate_ode(
     out = np.empty((len(times), 2), dtype=complex)
     out[:, 0] = raw[:, 0] + 1j * raw[:, 1]
     out[:, 1] = raw[:, 2] + 1j * raw[:, 3]
-    return Trajectory(times=np.array(times), states=out, tol=tol)
+    stats = IntegratorStats(accepted=accepted, rejected=steps - accepted, rhs_calls=rhs_calls,
+                            junction_stops=junction_stops, min_step=min_step, max_step=max_step)
+    return Trajectory(times=np.array(times), states=out, tol=tol, stats=stats)
 
 
 def quadrature(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
@@ -230,7 +299,9 @@ def find_root(f: Callable[[float], float], bracket: tuple[float, float],
     """Locate a zero of ``f`` inside a sign-changing bracket to within ``tol``.
 
     Secant steps alternate with bisection, so the bracket at least halves
-    every other iteration regardless of how the secant behaves.
+    every other iteration regardless of how the secant behaves.  When ``tol``
+    is finer than the spacing of doubles near the root, the search ends once
+    the bracket ends are adjacent doubles.
 
     Raises:
         NoSignChange: if f has the same sign at both bracket ends.
@@ -247,14 +318,16 @@ def find_root(f: Callable[[float], float], bracket: tuple[float, float],
         raise NoSignChange(f"f({a!r})={fa!r} and f({b!r})={fb!r} have the same sign")
     use_secant = True
     for _ in range(max_iter):
-        if b - a <= 2.0 * tol:
-            return 0.5 * (a + b)
+        m = 0.5 * (a + b)
+        # no double strictly between a and b: the bracket cannot shrink further
+        if b - a <= 2.0 * tol or not a < m < b:
+            return m
         if use_secant and fb != fa:
             x = b - fb * (b - a) / (fb - fa)
             if not a < x < b:
-                x = 0.5 * (a + b)
+                x = m
         else:
-            x = 0.5 * (a + b)
+            x = m
         use_secant = not use_secant
         fx = f(x)
         if fx == 0.0:

@@ -192,6 +192,16 @@ class TestCoherence:
         for a, b in zip(rows, rows[1:]):
             assert b[0] - a[0] == pytest.approx(spacing, abs=1e-9)
 
+    def test_scan_past_t_1024(self, capsys):
+        # there the spacing of doubles is wider than the 1e-13 root tolerance
+        code, out, _ = run(capsys, "coherence", "--t0=1030", "--t1=1060")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert len(rows) >= 10
+        spacing = math.pi / (2.0 * math.sqrt(0.5))
+        for a, b in zip(rows, rows[1:]):
+            assert b[0] - a[0] == pytest.approx(spacing, abs=1e-9)
+
     def test_static_scan_reports_the_degenerate_flag(self, capsys):
         code, out, _ = run(capsys, "coherence", "--alpha", "0")
         assert code == 0

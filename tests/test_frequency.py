@@ -23,6 +23,7 @@ from switchosc import (
     switch_end,
     validate_params,
 )
+from switchosc.frequency import final_frequency, initial_frequency, omega_unchecked
 
 FIG = OscParams()
 FLAT = OscParams(alpha=0.0)
@@ -103,6 +104,24 @@ class TestOmega:
         tj = switch_end(FIG)
         values = [omega_of(tj * i / 200.0, FIG) for i in range(201)]
         assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("aw", [0.0, 0.5, 0.97])
+    def test_unchecked_helper_is_omega_of_bit_for_bit(self, aw):
+        p = OscParams(alpha=aw / 1.3, omega=1.3)
+        ts = [-40.0, -1.0, 0.2, 0.7, 1.1, 3.0, 45.0]
+        for edge in junction_times(p):
+            ts += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+        for t in ts:
+            # reference from region_of and the closed form, not from the helper
+            region = region_of(t, p)
+            if region is Region.BEFORE:
+                want = initial_frequency(p)
+            elif region is Region.AFTER:
+                want = final_frequency(p)
+            else:
+                c = math.cos(p.omega * t)
+                want = p.omega * math.sqrt(1.0 - p.alpha * p.omega / (1.0 + p.alpha * p.omega * c * c) ** 2)
+            assert omega_unchecked(t, p) == omega_of(t, p) == want, t
 
     def test_positive_everywhere_even_near_the_limit(self):
         near = OscParams(alpha=0.99)

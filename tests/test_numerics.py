@@ -16,11 +16,14 @@ from switchosc import (
     OscParams,
     RangeError,
     ToleranceNotMet,
+    amplitude,
     derivative,
+    epsilon,
     find_root,
     integrate_ode,
     quadrature,
     second_derivative,
+    switch_end,
 )
 
 FIG = OscParams()
@@ -91,6 +94,62 @@ class TestIntegrator:
         with pytest.raises(DomainError):
             integrate_ode(FLAT, 0.0, 1.0, (1.0 + 0j, 1j), 1e-9, fixed_step=-0.1)
 
+    @pytest.mark.parametrize(
+        "t0, t1, init, t_eval",
+        [
+            (-math.inf, 1.0, (1.0 + 0j, 1j), None),
+            (0.0, math.inf, (1.0 + 0j, 1j), None),
+            (0.0, 1.0, (1.0 + 0j, 1j), [0.5, math.nan]),
+            (0.0, 1.0, (complex(math.nan, 0.0), 1j), None),
+            (0.0, 1.0, (1.0 + 0j, complex(0.0, math.inf)), None),
+        ],
+        ids=["t0", "t1", "t_eval", "eps", "eps_dot"],
+    )
+    def test_non_finite_inputs_rejected_up_front(self, t0, t1, init, t_eval):
+        with pytest.raises(DomainError, match="finite"):
+            integrate_ode(FLAT, t0, t1, init, 1e-9, t_eval=t_eval)
+
+    @pytest.mark.parametrize("aw", [0.0, 0.5, 0.97])
+    @pytest.mark.parametrize("placement", ["before", "across", "after"])
+    def test_sixty_long_windows_match_the_closed_form(self, aw, placement):
+        p = OscParams(alpha=aw)
+        t0 = {"before": -61.0, "across": -15.0, "after": switch_end(p) + 1.0}[placement]
+        start = epsilon(t0, p)
+        traj = integrate_ode(p, t0, t0 + 60.0, (start.eps, start.eps_dot), 1e-11)
+        eps, eps_dot = amplitude(traj.times, p)
+        assert np.max(np.abs(eps - traj.eps)) < 1e-9
+        assert np.max(np.abs(eps_dot - traj.eps_dot)) < 1e-9
+
+
+class TestIntegratorStats:
+    def test_counts_repeat_exactly(self):
+        runs = [integrate_ode(FIG, -5.0, 10.0, (1.0 + 0j, 1j), 1e-11).stats for _ in range(2)]
+        assert runs[0] == runs[1]
+
+    def test_counts_describe_the_steps_taken(self):
+        traj = integrate_ode(FIG, -5.0, 10.0, (1.0 + 0j, 1j), 1e-11)
+        stats = traj.stats
+        assert stats.rejected > 0
+        assert stats.rhs_calls == 7 * (stats.accepted + stats.rejected)
+        assert stats.accepted == len(traj.times) - 1
+        steps = np.diff(traj.times)
+        assert stats.min_step == pytest.approx(steps.min(), rel=1e-9)
+        assert stats.max_step == pytest.approx(steps.max(), rel=1e-9)
+
+    def test_junction_stops_only_when_forced(self):
+        start = (1.2 + 0.1j, 0.2 + 0.9j)
+        forced = integrate_ode(FIG, -1.0, 2.0, start, 1e-9, force_junctions=True)
+        blind = integrate_ode(FIG, -1.0, 2.0, start, 1e-9, force_junctions=False)
+        assert forced.stats.junction_stops == 2
+        assert {0.0, switch_end(FIG)} <= set(forced.times.tolist())
+        assert blind.stats.junction_stops == 0
+
+    def test_fixed_step_rejects_nothing(self):
+        stats = integrate_ode(FLAT, 0.0, 1.0, (1.0 + 0j, 1j), 1e-6, fixed_step=0.3).stats
+        assert (stats.accepted, stats.rejected, stats.rhs_calls) == (4, 0, 28)
+        assert stats.max_step == 0.3
+        assert stats.min_step == pytest.approx(0.1, abs=1e-12)
+
 
 class TestQuadrature:
     def test_unit_integrand(self):
@@ -142,6 +201,12 @@ class TestFindRoot:
     def test_same_sign_rejected(self):
         with pytest.raises(NoSignChange):
             find_root(lambda t: t * t + 1.0, (-1.0, 1.0), 1e-12)
+
+    def test_root_past_1024_found_to_one_ulp(self):
+        # the doubles near 1030.3 lie 2.3e-13 apart, wider than 2*tol, and
+        # f vanishes at no double, so the bracket closes on adjacent doubles
+        root = find_root(lambda t: (t - 1030.0) - 0.3, (1030.0, 1031.0), tol=1e-13)
+        assert abs(root - 1030.3) <= math.ulp(1030.3)
 
     def test_bad_bracket_rejected(self):
         with pytest.raises(RangeError):

@@ -12,6 +12,7 @@ from switchosc import (
     first_moments,
     general_first_moments,
     general_second_moments,
+    integrate_ode,
     invariant_coefficients,
     omega_of,
     omega_profile,
@@ -105,3 +106,15 @@ def test_phase_integral_is_monotone(p, frac_a, frac_b):
     lo, hi = sorted((frac_a, frac_b))
     t_end = switch_end(p)
     assert phase_integral(lo * t_end, p) <= phase_integral(hi * t_end, p) + 1e-15
+
+
+@settings(max_examples=20, deadline=None)
+@given(aw=st.floats(0.0, 0.99), omega=st.floats(0.5, 1.5), t0=st.floats(-60.0, 60.0),
+       span=st.floats(1.0, 60.0))
+def test_integration_matches_the_closed_form(aw, omega, t0, span):
+    p = OscParams(alpha=aw / omega, omega=omega)
+    start = epsilon(t0, p)
+    traj = integrate_ode(p, t0, t0 + span, (start.eps, start.eps_dot), 1e-11)
+    eps, eps_dot = amplitude(traj.times, p)
+    assert np.max(np.abs(eps - traj.eps)) < 1e-8
+    assert np.max(np.abs(eps_dot - traj.eps_dot)) < 1e-8
