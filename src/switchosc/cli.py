@@ -288,12 +288,16 @@ def _cmd_moments(cfg: RunConfig) -> int:
     return _emit_table(cfg, cols, rows)
 
 
+# run parameters that grid_to_csv and grid_to_json write themselves (mass as m)
+_GRID_META_KEYS = frozenset({"t", "mass", "hbar", "alpha", "omega", "z_re", "z_im"})
+
+
 def _cmd_wigner(cfg: RunConfig) -> int:
     grid = wigner_grid(cfg.t, cfg.z, cfg.params,
                        half_widths=(cfg.n_sigma, cfg.n_sigma),
                        resolution=(cfg.grid_n, cfg.grid_n))
     norm = grid_integral(grid)
-    extra = [(k, _fmt_any(v)) for k, v in _config_items(cfg)]
+    extra = [(k, _fmt_any(v)) for k, v in _config_items(cfg) if k not in _GRID_META_KEYS]
     extra.append(("normalization", format_float(norm)))
     if cfg.fmt == "csv":
         text = grid_to_csv(grid, comments=tuple(extra))

@@ -2,7 +2,7 @@
 
 The frequency is constant in the past, decreases smoothly over the window
 [0, pi/(2*omega)], and is constant (and lower) afterwards.  Every other module
-evaluates the switch through :func:`omega_of` (one instant; :func:`omega_unchecked`
+evaluates the switch through :func:`omega_of` (one instant; :func:`omega_function`
 for a caller that validated once), :func:`omega_profile` (an array of instants)
 and :func:`region_masks`, so the three-region bookkeeping lives in one place.
 """
@@ -182,23 +182,29 @@ def omega_of(t: float, p: OscParams) -> float:
         DomainError: if ``p`` is invalid or ``t`` is not finite.
     """
     _check_instant(t, p)
-    return omega_unchecked(t, p)
+    return omega_function(p)(t)
 
 
-def omega_unchecked(t: float, p: OscParams) -> float:
-    """:func:`omega_of` without its checks, for a caller that made them once.
+def omega_function(p: OscParams) -> Callable[[float], float]:
+    """Return t -> ``omega_of(t, p)`` without its checks, for a caller that made them once.
 
-    ``p`` must be valid and ``t`` finite; the regions are those of
-    :func:`region_of`.  The integrator's right-hand side calls this on every
-    stage.
+    ``p`` must be valid and every ``t`` passed finite; the regions are those
+    of :func:`region_of`.  The flat frequencies before and after the window
+    are computed once, here, and returned as they are.
     """
-    if t < 0.0:
-        c = 1.0
-    elif t <= switch_end(p):
-        c = math.cos(p.omega * t)
-    else:
-        c = 0.0
-    return _omega_from_cos(c, p, SCALAR)
+    w_before = initial_frequency(p)
+    w_after = final_frequency(p)
+    t_end = switch_end(p)
+    omega = p.omega
+
+    def omega_at(t: float) -> float:
+        if t < 0.0:
+            return w_before
+        if t <= t_end:
+            return _omega_from_cos(math.cos(omega * t), p, SCALAR)
+        return w_after
+
+    return omega_at
 
 
 def omega_profile(ts, p: OscParams) -> np.ndarray:

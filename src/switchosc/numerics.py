@@ -17,12 +17,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, NoSignChange, RangeError, ToleranceNotMet
-from .frequency import OscParams, junction_times, omega_unchecked, validate_params
+from .frequency import OscParams, junction_times, omega_function, validate_params
 
 # Dormand-Prince 5(4) pair.  The fifth-order solution is propagated; the
 # embedded fourth-order difference drives the step controller.  The last row
 # of _A equals _B5 (whose seventh weight is zero), so the seventh stage is
-# evaluated at the new state.
+# evaluated at the new state.  integrate_ode unpacks its coefficients from
+# these tuples.
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     (),
@@ -36,8 +37,6 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
-_STAGES = tuple(zip(_C[1:], _A[1:]))
-_ORIGIN = (0.0, 0.0, 0.0, 0.0)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -84,17 +83,6 @@ class Trajectory:
         return self.states[:, 1]
 
 
-def _combine(y: tuple, h: float, coeffs: tuple, ks: list) -> tuple:
-    # y + h * sum_j coeffs[j] * ks[j], component by component
-    s0 = s1 = s2 = s3 = 0.0
-    for a, (k0, k1, k2, k3) in zip(coeffs, ks):
-        s0 += a * k0
-        s1 += a * k1
-        s2 += a * k2
-        s3 += a * k3
-    return y[0] + h * s0, y[1] + h * s1, y[2] + h * s2, y[3] + h * s3
-
-
 def _error_norm(err: tuple, y: tuple, y_new: tuple, budget: float) -> float:
     # root mean square of the four error components, each measured against
     # budget * (1 + the larger magnitude of that component before and after)
@@ -139,8 +127,8 @@ def integrate_ode(
             (reproducibility fallback; no error estimate).
 
     Raises:
-        DomainError: if ``p``, ``tol`` or ``fixed_step`` is invalid, or a
-            time or initial value is not finite.
+        DomainError: if ``p``, ``tol``, ``fixed_step`` or ``max_steps`` is
+            invalid, or a time or initial value is not finite.
         RangeError: if a ``t_eval`` point lies outside [t0, t1].
         ToleranceNotMet: if the step size underflows or the step budget
             is exhausted.
@@ -155,28 +143,26 @@ def integrate_ode(
         raise DomainError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
     if fixed_step is not None and not fixed_step > 0.0:
         raise DomainError(f"fixed_step must be positive, got {fixed_step!r}")
+    if not (isinstance(max_steps, int) and max_steps >= 1):
+        raise DomainError(f"max_steps must be an int of at least 1, got {max_steps!r}")
     eps0, eps_dot0 = complex(init[0]), complex(init[1])
     if not (cmath.isfinite(eps0) and cmath.isfinite(eps_dot0)):
         raise DomainError(f"initial values must be finite, got ({eps0!r}, {eps_dot0!r})")
 
-    def rhs(t: float, y: tuple) -> tuple:
-        y0, y1, y2, y3 = y
-        w = omega_unchecked(t, p)
-        w2 = w * w
-        return y2, y3, -w2 * y0, -w2 * y1
-
-    y = (eps0.real, eps0.imag, eps_dot0.real, eps_dot0.imag)
+    omega = omega_function(p)
+    # state (x, y, u, v): eps = x + iy, eps_dot = u + iv
+    x, y, u, v = eps0.real, eps0.imag, eps_dot0.real, eps_dot0.imag
 
     eval_set: set[float] = set()
     stops: set[float] = {t1}
     if t_eval is not None:
-        pts = [float(x) for x in t_eval]
+        pts = [float(te) for te in t_eval]
         if not all(map(math.isfinite, pts)):
             raise DomainError("t_eval points must be finite")
-        if any(x < t0 or x > t1 for x in pts):
+        if any(te < t0 or te > t1 for te in pts):
             raise RangeError("t_eval points must lie within [t0, t1]")
         eval_set = set(pts)
-        stops.update(x for x in pts if x > t0)
+        stops.update(te for te in pts if te > t0)
     junctions: set[float] = set()
     if force_junctions:
         junctions = {tj for tj in junction_times(p) if t0 < tj < t1}
@@ -188,7 +174,19 @@ def integrate_ode(
     states: list[tuple] = []
     if record_all or t0 in eval_set:
         times.append(t0)
-        states.append(y)
+        states.append((x, y, u, v))
+
+    _, c2, c3, c4, c5, c6, c7 = _C
+    (
+        _,
+        (a21,),
+        (a31, a32),
+        (a41, a42, a43),
+        (a51, a52, a53, a54),
+        (a61, a62, a63, a64, a65),
+        (a71, a72, a73, a74, a75, a76),
+    ) = _A
+    e1, e2, e3, e4, e5, e6, e7 = _ERR
 
     t = t0
     h = fixed_step if fixed_step is not None else min((t1 - t0) / 64.0, stop_list[0] - t0)
@@ -206,29 +204,79 @@ def integrate_ode(
             h_try, hit = h, False
         else:
             h_try, hit = gap, True
-        # the last stage's input is the fifth-order solution y_new
-        ks = [rhs(t, y)]
-        for c, a in _STAGES:
-            y_new = _combine(y, h_try, a, ks)
-            ks.append(rhs(t + c * h_try, y_new))
-        rhs_calls += len(ks)
+        # Seven stages.  Stage i's input is (xi, yi, ui, vi), stage 1's the
+        # state itself, and its derivative is (ui, vi, gxi, gyi) with
+        # g = -Omega^2 at its instant.  Each input is the state plus
+        # h*(0.0 + a_i1*k_1 + a_i2*k_2 + ...), summed left to right; the
+        # seventh is the fifth-order solution.
+        w = omega(t)
+        g = -(w * w)
+        gx1, gy1 = g * x, g * y
+        x2 = x + h_try * (0.0 + a21 * u)
+        y2 = y + h_try * (0.0 + a21 * v)
+        u2 = u + h_try * (0.0 + a21 * gx1)
+        v2 = v + h_try * (0.0 + a21 * gy1)
+        w = omega(t + c2 * h_try)
+        g = -(w * w)
+        gx2, gy2 = g * x2, g * y2
+        x3 = x + h_try * (0.0 + a31 * u + a32 * u2)
+        y3 = y + h_try * (0.0 + a31 * v + a32 * v2)
+        u3 = u + h_try * (0.0 + a31 * gx1 + a32 * gx2)
+        v3 = v + h_try * (0.0 + a31 * gy1 + a32 * gy2)
+        w = omega(t + c3 * h_try)
+        g = -(w * w)
+        gx3, gy3 = g * x3, g * y3
+        x4 = x + h_try * (0.0 + a41 * u + a42 * u2 + a43 * u3)
+        y4 = y + h_try * (0.0 + a41 * v + a42 * v2 + a43 * v3)
+        u4 = u + h_try * (0.0 + a41 * gx1 + a42 * gx2 + a43 * gx3)
+        v4 = v + h_try * (0.0 + a41 * gy1 + a42 * gy2 + a43 * gy3)
+        w = omega(t + c4 * h_try)
+        g = -(w * w)
+        gx4, gy4 = g * x4, g * y4
+        x5 = x + h_try * (0.0 + a51 * u + a52 * u2 + a53 * u3 + a54 * u4)
+        y5 = y + h_try * (0.0 + a51 * v + a52 * v2 + a53 * v3 + a54 * v4)
+        u5 = u + h_try * (0.0 + a51 * gx1 + a52 * gx2 + a53 * gx3 + a54 * gx4)
+        v5 = v + h_try * (0.0 + a51 * gy1 + a52 * gy2 + a53 * gy3 + a54 * gy4)
+        w = omega(t + c5 * h_try)
+        g = -(w * w)
+        gx5, gy5 = g * x5, g * y5
+        x6 = x + h_try * (0.0 + a61 * u + a62 * u2 + a63 * u3 + a64 * u4 + a65 * u5)
+        y6 = y + h_try * (0.0 + a61 * v + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
+        u6 = u + h_try * (0.0 + a61 * gx1 + a62 * gx2 + a63 * gx3 + a64 * gx4 + a65 * gx5)
+        v6 = v + h_try * (0.0 + a61 * gy1 + a62 * gy2 + a63 * gy3 + a64 * gy4 + a65 * gy5)
+        w = omega(t + c6 * h_try)
+        g = -(w * w)
+        gx6, gy6 = g * x6, g * y6
+        x7 = x + h_try * (0.0 + a71 * u + a72 * u2 + a73 * u3 + a74 * u4 + a75 * u5 + a76 * u6)
+        y7 = y + h_try * (0.0 + a71 * v + a72 * v2 + a73 * v3 + a74 * v4 + a75 * v5 + a76 * v6)
+        u7 = u + h_try * (0.0 + a71 * gx1 + a72 * gx2 + a73 * gx3 + a74 * gx4 + a75 * gx5 + a76 * gx6)
+        v7 = v + h_try * (0.0 + a71 * gy1 + a72 * gy2 + a73 * gy3 + a74 * gy4 + a75 * gy5 + a76 * gy6)
+        w = omega(t + c7 * h_try)
+        g = -(w * w)
+        gx7, gy7 = g * x7, g * y7
+        rhs_calls += 7
         if fixed_step is None:
             # budget each step a decade below the requested tolerance so the
             # accumulated drift of conserved quantities stays within a few tol
-            err = _combine(_ORIGIN, h_try, _ERR, ks)
-            err_norm = _error_norm(err, y, y_new, budget)
+            err = (
+                0.0 + h_try * (0.0 + e1 * u + e2 * u2 + e3 * u3 + e4 * u4 + e5 * u5 + e6 * u6 + e7 * u7),
+                0.0 + h_try * (0.0 + e1 * v + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v7),
+                0.0 + h_try * (0.0 + e1 * gx1 + e2 * gx2 + e3 * gx3 + e4 * gx4 + e5 * gx5 + e6 * gx6 + e7 * gx7),
+                0.0 + h_try * (0.0 + e1 * gy1 + e2 * gy2 + e3 * gy3 + e4 * gy4 + e5 * gy5 + e6 * gy6 + e7 * gy7),
+            )
+            err_norm = _error_norm(err, (x, y, u, v), (x7, y7, u7, v7), budget)
         else:
             err_norm = 0.0
         if err_norm <= 1.0:
             t = stop if hit else t + h_try
-            y = y_new
+            x, y, u, v = x7, y7, u7, v7
             accepted += 1
             min_step, max_step = min(min_step, h_try), max(max_step, h_try)
             if hit and stop in junctions:
                 junction_stops += 1
             if record_all or t in eval_set:
                 times.append(t)
-                states.append(y)
+                states.append((x, y, u, v))
             if fixed_step is None:
                 grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.2
                 h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))

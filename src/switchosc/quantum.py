@@ -224,7 +224,9 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
     the offset from it, as diagnostics.
 
     Raises:
-        RangeError: if ``t_lo`` precedes the switch end or t_hi <= t_lo.
+        RangeError: if ``t_lo`` precedes the switch end, t_hi <= t_lo, or,
+            for a switched frequency, the doubles near ``t_hi`` are more than
+            1e-9 of the event spacing apart.
     """
     validate_params(p)
     t_j = switch_end(p)
@@ -244,6 +246,12 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
         )
 
     spacing = math.pi / (2.0 * final_frequency(p))
+    # the envelope slope's zero cannot be placed closer than about one ulp of t
+    if math.ulp(t_hi) > 1e-9 * spacing:
+        raise RangeError(
+            f"doubles near t_hi={t_hi!r} lie {math.ulp(t_hi)!r} apart, coarser than "
+            f"1e-9 of the event spacing {spacing!r}: events cannot be resolved there"
+        )
     pred_spacing = math.pi / (4.0 * omega_of(0.0, p))
 
     def slope(x: float) -> float:

@@ -173,6 +173,16 @@ class TestWigner:
         assert doc["meta"]["command"] == "wigner"
         assert len(doc["values"]) == 16 * 16
 
+    def test_run_parameters_written_once(self, capsys):
+        code, out, _ = run(capsys, "wigner", "--grid-n", "16")
+        assert code == 0
+        keys = [ln[1:].partition("=")[0].strip() for ln in out.splitlines() if ln.startswith("#")]
+        assert len(keys) == len(set(keys))
+        code, out, _ = run(capsys, "wigner", "--grid-n", "16", "--format", "json")
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        assert meta["m"] == "1.0" and "mass" not in meta
+
     def test_too_coarse_grid_rejected(self, capsys):
         assert run(capsys, "wigner", "--grid-n", "4")[0] == 2
         assert run(capsys, "wigner", "--n-sigma", "1")[0] == 2
@@ -201,6 +211,21 @@ class TestCoherence:
         spacing = math.pi / (2.0 * math.sqrt(0.5))
         for a, b in zip(rows, rows[1:]):
             assert b[0] - a[0] == pytest.approx(spacing, abs=1e-9)
+
+    def test_scan_near_t_1e6_resolves_the_events(self, capsys):
+        code, out, _ = run(capsys, "coherence", "--t0=1e6", "--t1=1000010")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert len(rows) >= 4
+        assert all(abs(row[3]) <= 1e-8 for row in rows)
+
+    def test_scan_beyond_double_resolution_rejected(self, capsys, tmp_path):
+        out_file = tmp_path / "scan.csv"
+        code, out, err = run(capsys, "coherence", "--t0=1e15", "--t1=1.00000000000003e15",
+                             "--out", str(out_file))
+        assert code == 1
+        assert "cannot be resolved" in err
+        assert not out_file.exists()
 
     def test_static_scan_reports_the_degenerate_flag(self, capsys):
         code, out, _ = run(capsys, "coherence", "--alpha", "0")

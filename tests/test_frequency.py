@@ -23,7 +23,7 @@ from switchosc import (
     switch_end,
     validate_params,
 )
-from switchosc.frequency import final_frequency, initial_frequency, omega_unchecked
+from switchosc.frequency import final_frequency, initial_frequency, omega_function
 
 FIG = OscParams()
 FLAT = OscParams(alpha=0.0)
@@ -111,8 +111,9 @@ class TestOmega:
         ts = [-40.0, -1.0, 0.2, 0.7, 1.1, 3.0, 45.0]
         for edge in junction_times(p):
             ts += [math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf)]
+        omega = omega_function(p)
         for t in ts:
-            # reference from region_of and the closed form, not from the helper
+            # reference from region_of and the closed form, not from the factory
             region = region_of(t, p)
             if region is Region.BEFORE:
                 want = initial_frequency(p)
@@ -121,7 +122,7 @@ class TestOmega:
             else:
                 c = math.cos(p.omega * t)
                 want = p.omega * math.sqrt(1.0 - p.alpha * p.omega / (1.0 + p.alpha * p.omega * c * c) ** 2)
-            assert omega_unchecked(t, p) == omega_of(t, p) == want, t
+            assert omega(t) == omega_of(t, p) == want, t
 
     def test_positive_everywhere_even_near_the_limit(self):
         near = OscParams(alpha=0.99)

@@ -6,9 +6,11 @@ every integrator check.
 
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchosc import (
     DomainError,
@@ -21,9 +23,21 @@ from switchosc import (
     epsilon,
     find_root,
     integrate_ode,
+    junction_times,
+    omega_of,
     quadrature,
     second_derivative,
     switch_end,
+)
+from switchosc.numerics import (
+    _A,
+    _C,
+    _ERR,
+    _MAX_FACTOR,
+    _MIN_FACTOR,
+    _SAFETY,
+    IntegratorStats,
+    _error_norm,
 )
 
 FIG = OscParams()
@@ -109,6 +123,11 @@ class TestIntegrator:
         with pytest.raises(DomainError, match="finite"):
             integrate_ode(FLAT, t0, t1, init, 1e-9, t_eval=t_eval)
 
+    @pytest.mark.parametrize("max_steps", [0, -1])
+    def test_bad_step_budget_rejected_up_front(self, max_steps):
+        with pytest.raises(DomainError, match="max_steps"):
+            integrate_ode(FLAT, 0.0, 1.0, (1.0 + 0j, 1j), 1e-9, max_steps=max_steps)
+
     @pytest.mark.parametrize("aw", [0.0, 0.5, 0.97])
     @pytest.mark.parametrize("placement", ["before", "across", "after"])
     def test_sixty_long_windows_match_the_closed_form(self, aw, placement):
@@ -149,6 +168,135 @@ class TestIntegratorStats:
         assert (stats.accepted, stats.rejected, stats.rhs_calls) == (4, 0, 28)
         assert stats.max_step == 0.3
         assert stats.min_step == pytest.approx(0.1, abs=1e-12)
+
+
+def _combine(y, h, coeffs, ks):
+    s0 = s1 = s2 = s3 = 0.0
+    for a, (k0, k1, k2, k3) in zip(coeffs, ks):
+        s0 += a * k0
+        s1 += a * k1
+        s2 += a * k2
+        s3 += a * k3
+    return y[0] + h * s0, y[1] + h * s1, y[2] + h * s2, y[3] + h * s3
+
+
+def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, force_junctions=True, fixed_step=None):
+    """The Dormand-Prince step as a loop over the tableau, reading Omega through omega_of.
+
+    Same stops, controller and stage order as integrate_ode; returns
+    (times, states, stats) for a bit-for-bit comparison.
+    """
+
+    def rhs(t, y):
+        w = omega_of(t, p)
+        w2 = w * w
+        return y[2], y[3], -w2 * y[0], -w2 * y[1]
+
+    y = (init[0].real, init[0].imag, init[1].real, init[1].imag)
+    stops = {t1}
+    eval_set = set()
+    if t_eval is not None:
+        eval_set = set(t_eval)
+        stops.update(x for x in t_eval if x > t0)
+    junctions = {tj for tj in junction_times(p) if t0 < tj < t1} if force_junctions else set()
+    stops.update(junctions)
+    stop_list = sorted(stops)
+    record_all = t_eval is None
+    times, states = ([t0], [y]) if record_all or t0 in eval_set else ([], [])
+    t = t0
+    h = fixed_step if fixed_step is not None else min((t1 - t0) / 64.0, stop_list[0] - t0)
+    si = steps = accepted = rhs_calls = junction_stops = 0
+    min_step, max_step = math.inf, 0.0
+    while t < t1:
+        while stop_list[si] <= t:
+            si += 1
+        stop = stop_list[si]
+        h_try, hit = (h, False) if h < stop - t else (stop - t, True)
+        ks = [rhs(t, y)]
+        for c, a in zip(_C[1:], _A[1:]):
+            y_new = _combine(y, h_try, a, ks)
+            ks.append(rhs(t + c * h_try, y_new))
+        rhs_calls += len(ks)
+        err_norm = 0.0
+        if fixed_step is None:
+            err = _combine((0.0, 0.0, 0.0, 0.0), h_try, _ERR, ks)
+            err_norm = _error_norm(err, y, y_new, 0.1 * tol)
+        if err_norm <= 1.0:
+            t = stop if hit else t + h_try
+            y = y_new
+            accepted += 1
+            min_step, max_step = min(min_step, h_try), max(max_step, h_try)
+            junction_stops += hit and stop in junctions
+            if record_all or t in eval_set:
+                times.append(t)
+                states.append(y)
+            if fixed_step is None:
+                grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.2
+                h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))
+        else:
+            h = h_try * max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
+            assert h >= 16.0 * sys.float_info.epsilon * max(1.0, abs(t))
+        steps += 1
+    raw = np.array(states, dtype=float).reshape(len(states), 4)
+    out = np.empty((len(times), 2), dtype=complex)
+    out[:, 0] = raw[:, 0] + 1j * raw[:, 1]
+    out[:, 1] = raw[:, 2] + 1j * raw[:, 3]
+    stats = IntegratorStats(accepted=accepted, rejected=steps - accepted, rhs_calls=rhs_calls,
+                            junction_stops=junction_stops, min_step=min_step, max_step=max_step)
+    return np.array(times), out, stats
+
+
+def _assert_matches_loop_reference(p, t0, t1, init, tol, **kw):
+    traj = integrate_ode(p, t0, t1, init, tol, **kw)
+    times, states, stats = _loop_reference(p, t0, t1, init, tol, **kw)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.tobytes() == states.tobytes()
+    assert traj.stats == stats
+    return traj.stats
+
+
+class TestKernelMatchesLoopReference:
+    """The unrolled step reproduces the loop over the tableau bit for bit."""
+
+    START = (0.3 - 1.1j, 0.8 + 0.4j)
+
+    @pytest.mark.parametrize("aw", [0.0, 0.5, 0.97, 0.999])
+    @pytest.mark.parametrize("t0, t1", [(-9.0, -1.0), (-3.0, 4.0), (0.2, 1.4), (2.0, 12.0),
+                                        (995.0, 1003.0)],
+                             ids=["before", "across", "inside", "after", "near-1000"])
+    @pytest.mark.parametrize("tol", [1e-13, 1e-3])
+    def test_adaptive_windows(self, aw, t0, t1, tol):
+        _assert_matches_loop_reference(OscParams(alpha=aw), t0, t1, self.START, tol)
+
+    def test_rejected_steps(self):
+        # a first step of 1/64 of the window is far too long at tol 1e-12
+        stats = _assert_matches_loop_reference(OscParams(alpha=0.999), -3.0, 4.0, self.START, 1e-12)
+        assert stats.rejected > 0
+
+    def test_requested_times(self):
+        p = OscParams(alpha=0.6, omega=1.25)
+        ts = [-2.0, -0.5, 0.0, 0.3, switch_end(p), 2.0, 7.5]
+        _assert_matches_loop_reference(p, -2.0, 7.5, self.START, 1e-9, t_eval=ts)
+
+    def test_fixed_step(self):
+        _assert_matches_loop_reference(FIG, -1.0, 3.0, self.START, 1e-6, fixed_step=0.07)
+
+    def test_blind_across_the_junctions(self):
+        _assert_matches_loop_reference(OscParams(alpha=0.97), -1.0, 3.0, self.START, 1e-11,
+                                       force_junctions=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(aw=st.floats(0.0, 0.999), omega=st.floats(0.5, 2.0), t0=st.floats(-30.0, 1010.0),
+       span=st.floats(0.01, 8.0), log_tol=st.floats(-13.0, -3.0),
+       mode=st.sampled_from(["adaptive", "t_eval", "fixed_step", "blind"]),
+       start=st.tuples(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+                       st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)))
+def test_kernel_matches_the_loop_reference(aw, omega, t0, span, log_tol, mode, start):
+    kw = {"adaptive": {}, "t_eval": {"t_eval": [t0 + span * k / 5.0 for k in range(6)]},
+          "fixed_step": {"fixed_step": span / 13.0}, "blind": {"force_junctions": False}}[mode]
+    _assert_matches_loop_reference(OscParams(alpha=aw / omega, omega=omega), t0, t0 + span,
+                                   start, 10.0**log_tol, **kw)
 
 
 class TestQuadrature:

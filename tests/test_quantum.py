@@ -214,3 +214,6 @@ class TestCoherenceScan:
             coherence_scan(FIG, 0.0, 5.0)
         with pytest.raises(RangeError):
             coherence_scan(FIG, TJ + 1.0, TJ + 1.0)
+        # doubles there lie 0.125 apart, far coarser than the event spacing allows
+        with pytest.raises(RangeError, match="resolved"):
+            coherence_scan(FIG, 1e15, 1.00000000000003e15)
