@@ -14,7 +14,6 @@ from .classical import (
     amplitude,
     envelope,
     epsilon,
-    junction_phase,
     phase_integral,
     wronskian,
 )
@@ -26,18 +25,7 @@ from .errors import (
     SwitchOscError,
     ToleranceNotMet,
 )
-from .frequency import (
-    OscParams,
-    QuadraticCoefficients,
-    Region,
-    hamiltonian_coefficients,
-    junction_times,
-    omega_of,
-    omega_profile,
-    region_of,
-    switch_end,
-    validate_params,
-)
+from .frequency import OscParams, QuadraticCoefficients, hamiltonian_coefficients, omega_of, omega_profile
 from .numerics import Trajectory, derivative, find_root, integrate_ode, quadrature, second_derivative
 from .quantum import (
     CoherenceEvent,
@@ -45,7 +33,6 @@ from .quantum import (
     CovarianceState,
     FirstMoments,
     InvariantCoefficients,
-    SmusState,
     coherence_scan,
     conserved_pair,
     first_moments,
@@ -72,8 +59,6 @@ __all__ = [
     "OscParams",
     "QuadraticCoefficients",
     "RangeError",
-    "Region",
-    "SmusState",
     "SwitchOscError",
     "ToleranceNotMet",
     "Trajectory",
@@ -95,17 +80,12 @@ __all__ = [
     "hamiltonian_coefficients",
     "integrate_ode",
     "invariant_coefficients",
-    "junction_phase",
-    "junction_times",
     "omega_of",
     "omega_profile",
     "phase_integral",
     "quadrature",
-    "region_of",
     "second_derivative",
     "second_moments",
-    "switch_end",
-    "validate_params",
     "wigner_grid",
     "wigner_value",
     "wronskian",

@@ -16,7 +16,8 @@ independent integrator:
   slot cancels out of it).
 
 Exactly at a junction instant the switching-window form is used, matching
-:func:`switchosc.frequency.region_of`.
+:meth:`switchosc.frequency.OscParams.omega_at`.  The constants of each piece
+are fields of :class:`switchosc.frequency.OscParams`, computed once.
 
 Each region's closed form is written once and evaluates either on one float
 (:func:`epsilon`, for single instants such as the integrator's start, root
@@ -32,20 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError
-from .frequency import (
-    ARRAY,
-    SCALAR,
-    ElementaryOps,
-    OscParams,
-    Region,
-    final_frequency,
-    initial_frequency,
-    region_masks,
-    region_of,
-    switch_end,
-    validate_params,
-)
+from .errors import DomainError, RangeError
+from .frequency import ARRAY, SCALAR, ElementaryOps, OscParams, _window_phase, region_masks
 
 
 @dataclass(frozen=True)
@@ -70,14 +59,6 @@ class Envelope:
     r_dot: float
 
 
-def _window_phase(u, p: OscParams, ops: ElementaryOps):
-    # arctan(tan(u)/root)/root; u = pi/2, or one rounding step past it, is a
-    # removable singularity of tan and takes the limit value
-    root = math.sqrt(1.0 + p.alpha * p.omega)
-    return ops.where(u >= 0.5 * math.pi, 0.5 * math.pi / root,
-                     ops.atan(ops.tan(u) / root) / root)
-
-
 def phase_integral(t: float, p: OscParams) -> float:
     """Accumulated phase int_0^t ds / (1/omega + alpha*cos(omega*s)^2).
 
@@ -89,21 +70,9 @@ def phase_integral(t: float, p: OscParams) -> float:
     Raises:
         RangeError: if ``t`` lies outside [0, pi/(2*omega)].
     """
-    validate_params(p)
-    t_end = switch_end(p)
-    if not 0.0 <= t <= t_end:
-        raise RangeError(f"t={t!r} outside the switch window [0, {t_end!r}]")
+    if not 0.0 <= t <= p.switch_end:
+        raise RangeError(f"t={t!r} outside the switch window [0, {p.switch_end!r}]")
     return _window_phase(p.omega * t, p, SCALAR)
-
-
-def junction_phase(p: OscParams) -> float:
-    """Constant phase of the post-switch piece.
-
-    Equals pi / (2*sqrt(1 + alpha*omega)) analytically; computed by evaluating
-    :func:`phase_integral` at the window end so the post-switch piece matches
-    the switching piece bit for bit.
-    """
-    return phase_integral(switch_end(p), p)
 
 
 def _times(a, b):
@@ -124,10 +93,7 @@ def _over(a, x):
 # arithmetic rounds differently from Python's.
 
 def _eps_before(t, p: OscParams, ops: ElementaryOps = SCALAR) -> ClassicalAmplitude:
-    aw = p.alpha * p.omega
-    w0 = initial_frequency(p)
-    a_coef = math.sqrt((1.0 + aw) / p.omega)
-    b_coef = math.sqrt((1.0 + aw) / (p.omega * (1.0 + aw + aw * aw)))
+    w0, a_coef, b_coef = p.initial_frequency, p.before_re, p.before_im
     c, s = ops.cos(w0 * t), ops.sin(w0 * t)
     return ClassicalAmplitude(
         t=t,
@@ -137,55 +103,53 @@ def _eps_before(t, p: OscParams, ops: ElementaryOps = SCALAR) -> ClassicalAmplit
 
 
 def _eps_switching(t, p: OscParams, ops: ElementaryOps = SCALAR) -> ClassicalAmplitude:
-    aw = p.alpha * p.omega
     u = p.omega * t
     c = ops.cos(u)
     sigma = ops.sqrt(1.0 / p.omega + p.alpha * c * c)
     phi = _window_phase(u, p, ops)
     phase = (ops.cos(phi), ops.sin(phi))
     # sigma*sigma_dot = -(alpha*omega/2)*sin(2*omega*t)
-    ss_dot = -0.5 * aw * ops.sin(2.0 * u)
+    ss_dot = -0.5 * p.aw * ops.sin(2.0 * u)
     eps = _times((sigma, 0.0), phase)
     eps_dot = _over(_times(phase, (ss_dot, 1.0)), sigma)
     return ClassicalAmplitude(t=t, eps=ops.complex(*eps), eps_dot=ops.complex(*eps_dot))
 
 
 def _eps_after(t, p: OscParams, ops: ElementaryOps = SCALAR) -> ClassicalAmplitude:
-    aw = p.alpha * p.omega
-    w3 = final_frequency(p)
-    c_coef = 1.0 / math.sqrt(p.omega)
-    d_coef = 1.0 / math.sqrt(p.omega * (1.0 - aw))
-    dt = t - switch_end(p)
-    phi = junction_phase(p)
-    phase = (math.cos(phi), math.sin(phi))
+    w3, c_coef, d_coef = p.final_frequency, p.after_re, p.after_im
+    dt = t - p.switch_end
+    phase = (p.junction_cos, p.junction_sin)
     c, s = ops.cos(w3 * dt), ops.sin(w3 * dt)
     eps = _times(phase, (c_coef * c, d_coef * s))
     eps_dot = _times(phase, (-c_coef * w3 * s, d_coef * w3 * c))
     return ClassicalAmplitude(t=t, eps=ops.complex(*eps), eps_dot=ops.complex(*eps_dot))
 
 
-_PIECES = {Region.BEFORE: _eps_before, Region.SWITCHING: _eps_switching, Region.AFTER: _eps_after}
-
-
 def epsilon(t: float, p: OscParams) -> ClassicalAmplitude:
     """Amplitude and derivative at time ``t`` from the region's closed form.
 
     Raises:
-        DomainError: if ``p`` is invalid or ``t`` is not finite.
+        DomainError: if ``t`` is not finite.
     """
-    return _PIECES[region_of(t, p)](t, p)
+    if not math.isfinite(t):
+        raise DomainError(f"time must be finite, got {t!r}")
+    if t < 0.0:
+        return _eps_before(t, p)
+    if t <= p.switch_end:
+        return _eps_switching(t, p)
+    return _eps_after(t, p)
 
 
 def amplitude(ts, p: OscParams) -> tuple[np.ndarray, np.ndarray]:
     """(eps, eps_dot) at every time of the float array ``ts``, evaluated at once.
 
-    Validates ``p`` once and evaluates each region's closed form on the
-    samples its mask selects.  Gives the doubles :func:`epsilon` gives, except
-    in the last place where numpy's ``sin`` and ``cos`` round differently from
-    the C library's (see :class:`switchosc.frequency.ElementaryOps`).
+    Evaluates each region's closed form on the samples its mask selects.
+    Gives the doubles :func:`epsilon` gives, except in the last place where
+    numpy's ``sin`` and ``cos`` round differently from the C library's (see
+    :class:`switchosc.frequency.ElementaryOps`).
 
     Raises:
-        DomainError: if ``p`` is invalid or any time is not finite.
+        DomainError: if any time is not finite.
     """
     t, before, after = region_masks(ts, p)
     eps = np.empty(t.shape, dtype=complex)

@@ -19,17 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .classical import amplitude, epsilon, junction_phase, modulus, wronskian, wronskian_of
+from .classical import amplitude, epsilon, modulus, wronskian, wronskian_of
 from .errors import DomainError, SwitchOscError
-from .frequency import (
-    OscParams,
-    final_frequency,
-    junction_times,
-    omega_of,
-    omega_profile,
-    switch_end,
-    validate_params,
-)
+from .frequency import OscParams, omega_profile
 from .numerics import derivative, integrate_ode, quadrature
 from .quantum import coherence_scan, conserved_pair_of, first_moments_of, second_moments_of
 from .wigner import format_float, grid_integral, grid_to_csv, grid_to_json, wigner_grid
@@ -147,14 +139,16 @@ def _pick(cli_value, file_vals: dict[str, str], key: str, default):
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     file_vals = _read_config_file(args.config) if args.config else {}
-    params = validate_params(OscParams(
+    params = OscParams(
         m=_pick(args.mass, file_vals, "mass", 1.0),
         hbar=_pick(args.hbar, file_vals, "hbar", 1.0),
         alpha=_pick(args.alpha, file_vals, "alpha", 0.5),
         omega=_pick(args.omega, file_vals, "omega", 1.0),
-    ))
+    )
     z = complex(_pick(args.z_re, file_vals, "z_re", 1.0),
                 _pick(args.z_im, file_vals, "z_im", 0.2))
+    if not cmath.isfinite(z):
+        raise DomainError(f"z_re and z_im must be finite, got z={z!r}")
     fmt = _pick(args.fmt, file_vals, "format", "csv")
     if fmt not in ("csv", "json"):
         raise DomainError(f"format must be 'csv' or 'json', got {fmt!r}")
@@ -166,15 +160,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     t1 = _pick(args.t1, file_vals, "t1", None)
     if args.command == "coherence":
         # default scan window: three post-switch periods starting at the switch end
-        w_after = final_frequency(params)
+        t_j = params.switch_end
         if t0 is None:
-            t0 = switch_end(params)
+            t0 = t_j
         if t1 is None:
-            t1 = switch_end(params) + 3.0 * (2.0 * math.pi / w_after)
-        if t0 < switch_end(params):
-            raise DomainError(
-                f"coherence scan must start at or after the switch end {switch_end(params)!r}, got t0={t0!r}"
-            )
+            t1 = t_j + 3.0 * (2.0 * math.pi / params.final_frequency)
+        if t0 < t_j:
+            raise DomainError(f"coherence scan must start at or after the switch end {t_j!r}, got t0={t0!r}")
     else:
         if t0 is None:
             t0 = -5.0
@@ -250,7 +242,7 @@ def _emit_table(cfg: RunConfig, columns: Sequence[str], rows: np.ndarray,
 def _sample_times(cfg: RunConfig) -> np.ndarray:
     # uniform closed grid plus the junction instants, so kinks are sampled
     # exactly; sorted and deduplicated by hand, as np.unique imports numpy.ma
-    inner = [tj for tj in junction_times(cfg.params) if cfg.t0 < tj < cfg.t1]
+    inner = [tj for tj in (0.0, cfg.params.switch_end) if cfg.t0 < tj < cfg.t1]
     ts = np.sort(np.concatenate((_linspace(cfg.t0, cfg.t1, cfg.samples), inner)))
     return ts[np.append(True, np.diff(ts) > 0.0)]
 
@@ -331,11 +323,11 @@ def build_validation_report(cfg: RunConfig) -> dict:
     """
     p = cfg.params
     aw = p.alpha * p.omega
-    t_j = switch_end(p)
+    t_j = p.switch_end
     checks = []
 
     # -- post-switch phase constant -----------------------------------------
-    computed = junction_phase(p)
+    computed = p.junction_phase
     reference = math.pi / math.sqrt(1.0 + aw)
     quad = quadrature(
         lambda s: 1.0 / (1.0 / p.omega + p.alpha * math.cos(p.omega * s) ** 2),
@@ -428,7 +420,7 @@ def build_validation_report(cfg: RunConfig) -> dict:
     })
 
     # -- coherent instants ----------------------------------------------------
-    w_after = final_frequency(p)
+    w_after = p.final_frequency
     scan = coherence_scan(p, t_j, t_j + 3.0 * (2.0 * math.pi / w_after))
     if scan.always_coherent:
         checks.append({
@@ -459,7 +451,7 @@ def build_validation_report(cfg: RunConfig) -> dict:
                 "cqp_at_events": [e.cqp for e in scan.events],
                 "found_spacing": spacings,
                 "envelope_spacing": math.pi / (2.0 * w_after),
-                "reference_spacing": math.pi / (4.0 * omega_of(0.0, p)),
+                "reference_spacing": math.pi / (4.0 * p.initial_frequency),
                 "expected_sq_ratio": [math.sqrt(1.0 - aw), 1.0 / math.sqrt(1.0 - aw)],
             },
             "verdict": ("cofluctuation zeros follow the post-switch envelope spacing "

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, NoSignChange, RangeError, ToleranceNotMet
-from .frequency import OscParams, junction_times, omega_function, validate_params
+from .frequency import OscParams
 
 # Dormand-Prince 5(4) pair.  The fifth-order solution is propagated; the
 # embedded fourth-order difference drives the step controller.  The last row
@@ -115,7 +115,8 @@ def integrate_ode(
     the region junctions inside [t0, t1] — Omega^2 is continuous but not
     smooth there — and exactly on every requested ``t_eval`` point, so no
     interpolation is ever involved.  The inputs are validated once, here;
-    each step then runs on the four real state components as floats.
+    each step then runs on the four real state components as floats, reading
+    Omega(t) from ``p.omega_at``.
 
     Args:
         init: (eps, eps_dot) at ``t0``.
@@ -127,13 +128,12 @@ def integrate_ode(
             (reproducibility fallback; no error estimate).
 
     Raises:
-        DomainError: if ``p``, ``tol``, ``fixed_step`` or ``max_steps`` is
-            invalid, or a time or initial value is not finite.
+        DomainError: if ``tol``, ``fixed_step`` or ``max_steps`` is invalid,
+            or a time or initial value is not finite.
         RangeError: if a ``t_eval`` point lies outside [t0, t1].
         ToleranceNotMet: if the step size underflows or the step budget
             is exhausted.
     """
-    validate_params(p)
     if not 1e-13 <= tol <= 1e-3:
         raise DomainError(f"tol must lie in [1e-13, 1e-3], got {tol!r}")
     t0, t1 = float(t0), float(t1)
@@ -149,7 +149,7 @@ def integrate_ode(
     if not (cmath.isfinite(eps0) and cmath.isfinite(eps_dot0)):
         raise DomainError(f"initial values must be finite, got ({eps0!r}, {eps_dot0!r})")
 
-    omega = omega_function(p)
+    omega = p.omega_at
     # state (x, y, u, v): eps = x + iy, eps_dot = u + iv
     x, y, u, v = eps0.real, eps0.imag, eps_dot0.real, eps_dot0.imag
 
@@ -165,7 +165,7 @@ def integrate_ode(
         stops.update(te for te in pts if te > t0)
     junctions: set[float] = set()
     if force_junctions:
-        junctions = {tj for tj in junction_times(p) if t0 < tj < t1}
+        junctions = {tj for tj in (0.0, p.switch_end) if t0 < tj < t1}
         stops.update(junctions)
     stop_list = sorted(stops)
 

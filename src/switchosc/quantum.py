@@ -17,22 +17,8 @@ import numpy as np
 
 from .classical import ClassicalAmplitude, amplitude, envelope, envelope_of, epsilon
 from .errors import DomainError, RangeError
-from .frequency import (
-    OscParams,
-    QuadraticCoefficients,
-    final_frequency,
-    omega_of,
-    switch_end,
-    validate_params,
-)
+from .frequency import OscParams, QuadraticCoefficients, omega_of
 from .numerics import find_root
-
-
-@dataclass(frozen=True)
-class SmusState:
-    """Minimum-uncertainty Gaussian state labeled by the invariant's eigenvalue."""
-
-    z: complex
 
 
 @dataclass(frozen=True)
@@ -104,29 +90,24 @@ class CoherenceScanResult:
     sp_ratio: float | None = None
 
 
-def _eigenvalue(z: SmusState | complex) -> complex:
-    return z.z if isinstance(z, SmusState) else complex(z)
-
-
 def invariant_coefficients(t: float, p: OscParams) -> InvariantCoefficients:
     """Coefficients of the annihilation/creation operators in the invariant."""
-    validate_params(p)
     amp = epsilon(t, p)
-    w0 = omega_of(0.0, p)
+    w0 = p.initial_frequency
     rw = math.sqrt(w0)
     u = 0.5 * (rw * amp.eps - 1j * amp.eps_dot / rw)
     v = -0.5 * (rw * amp.eps + 1j * amp.eps_dot / rw)
     return InvariantCoefficients(u=u, v=v, omega0=w0)
 
 
-def first_moments_of(z: SmusState | complex, eps, eps_dot, p: OscParams):
+def first_moments_of(z: complex, eps, eps_dot, p: OscParams):
     """(<q>, <p>) of the state labeled ``z`` from the amplitude (eps, eps_dot).
 
     q = sqrt(hbar/2m) * 2*Re(eps * conj(z)),
     p = sqrt(hbar*m/2) * 2*Re(eps_dot * conj(z));
     real by construction (the symmetric sum is taken as a real part).
     """
-    zc = _eigenvalue(z).conjugate()
+    zc = complex(z).conjugate()
     # Re(eps*conj(z)) spelled out on the parts, as Python's complex product
     # computes it; numpy's complex product rounds differently
     q_mean = math.sqrt(p.hbar / (2.0 * p.m)) * 2.0 * (eps.real * zc.real - eps.imag * zc.imag)
@@ -134,14 +115,14 @@ def first_moments_of(z: SmusState | complex, eps, eps_dot, p: OscParams):
     return q_mean, p_mean
 
 
-def first_moments(z: SmusState | complex, t: float, p: OscParams) -> FirstMoments:
+def first_moments(z: complex, t: float, p: OscParams) -> FirstMoments:
     """Mean position and momentum of the state labeled ``z`` at time ``t``."""
     amp = epsilon(t, p)
     q_mean, p_mean = first_moments_of(z, amp.eps, amp.eps_dot, p)
     return FirstMoments(q_mean=q_mean, p_mean=p_mean)
 
 
-def general_first_moments(z: SmusState | complex, amp: ClassicalAmplitude,
+def general_first_moments(z: complex, amp: ClassicalAmplitude,
                           coeffs: QuadraticCoefficients, hbar: float) -> FirstMoments:
     """First moments for a general quadratic Hamiltonian (a, b, a_dot terms).
 
@@ -149,27 +130,27 @@ def general_first_moments(z: SmusState | complex, amp: ClassicalAmplitude,
     """
     if not coeffs.a > 0.0:
         raise DomainError(f"coefficient a must be positive, got {coeffs.a!r}")
-    zz = _eigenvalue(z)
+    zz = complex(z)
     q_mean = math.sqrt(hbar * coeffs.a) * 2.0 * (amp.eps * zz.conjugate()).real
     inner = coeffs.b * amp.eps - 0.5 * amp.eps_dot - 0.25 * (coeffs.a_dot / coeffs.a) * amp.eps
     p_mean = -math.sqrt(hbar / coeffs.a) * 2.0 * (inner * zz.conjugate()).real
     return FirstMoments(q_mean=q_mean, p_mean=p_mean)
 
 
-def conserved_pair_of(z: SmusState | complex, eps, eps_dot, p: OscParams):
+def conserved_pair_of(z: complex, eps, eps_dot, p: OscParams):
     """(Q0, P0) of the state labeled ``z`` from the amplitude (eps, eps_dot).
 
     Q0 = (Im(eps_dot)*<q> - Im(eps)*<p>/m) / sqrt(Omega0),
     P0 = sqrt(Omega0) * (-m*Re(eps_dot)*<q> + Re(eps)*<p>).
     """
     q_mean, p_mean = first_moments_of(z, eps, eps_dot, p)
-    rw = math.sqrt(omega_of(0.0, p))
+    rw = math.sqrt(p.initial_frequency)
     q0 = (eps_dot.imag * q_mean - eps.imag * p_mean / p.m) / rw
     p0 = rw * (-p.m * eps_dot.real * q_mean + eps.real * p_mean)
     return q0, p0
 
 
-def conserved_pair(z: SmusState | complex, t: float, p: OscParams) -> tuple[float, float]:
+def conserved_pair(z: complex, t: float, p: OscParams) -> tuple[float, float]:
     """Mean values (Q0, P0) of the conserved pair; constant in ``t`` for fixed z."""
     amp = epsilon(t, p)
     return conserved_pair_of(z, amp.eps, amp.eps_dot, p)
@@ -228,8 +209,7 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
             for a switched frequency, the doubles near ``t_hi`` are more than
             1e-9 of the event spacing apart.
     """
-    validate_params(p)
-    t_j = switch_end(p)
+    t_j = p.switch_end
     if t_lo < t_j:
         raise RangeError(f"scan must start at or after the switch end {t_j!r}, got {t_lo!r}")
     if not t_hi > t_lo:
@@ -245,14 +225,14 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
             sp_ratio=cov.sp2 / (p.m * w * half),
         )
 
-    spacing = math.pi / (2.0 * final_frequency(p))
+    spacing = math.pi / (2.0 * p.final_frequency)
     # the envelope slope's zero cannot be placed closer than about one ulp of t
     if math.ulp(t_hi) > 1e-9 * spacing:
         raise RangeError(
             f"doubles near t_hi={t_hi!r} lie {math.ulp(t_hi)!r} apart, coarser than "
             f"1e-9 of the event spacing {spacing!r}: events cannot be resolved there"
         )
-    pred_spacing = math.pi / (4.0 * omega_of(0.0, p))
+    pred_spacing = math.pi / (4.0 * p.initial_frequency)
 
     def slope(x: float) -> float:
         return envelope(x, p).r_dot

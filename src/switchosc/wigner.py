@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NotNormalized
-from .frequency import OscParams, validate_params
-from .quantum import CovarianceState, FirstMoments, SmusState, _eigenvalue, first_moments, second_moments
+from .frequency import OscParams
+from .quantum import CovarianceState, FirstMoments, first_moments, second_moments
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ def wigner_value(q: float, p: float, fm: FirstMoments, cov: CovarianceState,
     return math.exp(expo) / (math.pi * hbar)
 
 
-def wigner_grid(t: float, z: SmusState | complex, p: OscParams,
+def wigner_grid(t: float, z: complex, p: OscParams,
                 half_widths: tuple[float, float] = (6.0, 6.0),
                 resolution: tuple[int, int] = (256, 256)) -> WignerGrid:
     """Evaluate the distribution on a grid spanning +-n_sigma per axis.
@@ -73,7 +73,6 @@ def wigner_grid(t: float, z: SmusState | complex, p: OscParams,
         DomainError: if a resolution is below 16 or a half width is below 3
             or not finite.
     """
-    validate_params(p)
     n_q, n_p = resolution
     hw_q, hw_p = half_widths
     if n_q < 16 or n_p < 16:
@@ -92,7 +91,7 @@ def wigner_grid(t: float, z: SmusState | complex, p: OscParams,
     expo = -(2.0 / h2) * (cov.sq2 * dp * dp - 2.0 * cov.cqp * dp * dq + cov.sp2 * dq * dq)
     values = np.exp(expo) / (math.pi * p.hbar)
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values,
-                      t=t, params=p, z=_eigenvalue(z))
+                      t=t, params=p, z=complex(z))
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:

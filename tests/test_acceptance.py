@@ -22,10 +22,8 @@ from switchosc import (
     grid_moments,
     integrate_ode,
     invariant_coefficients,
-    junction_phase,
     omega_of,
     second_moments,
-    switch_end,
     wigner_grid,
     wigner_value,
     wronskian,
@@ -36,7 +34,7 @@ from switchosc.cli import main as cli_main
 FIG = OscParams()
 Z = 1.0 + 0.2j
 T_LO, T_HI = -5.0, 10.0
-TJ = switch_end(FIG)
+TJ = FIG.switch_end
 
 
 def _report(num: int, name: str, ok: bool) -> None:
@@ -58,7 +56,7 @@ def test_criterion_01_oracle_equivalence(tmp_path):
     err = 0.0
     err_alt = 0.0
     # alternate post-switch phase constant (twice the continuity value)
-    rot = cmath.exp(1j * (math.pi / math.sqrt(1.5) - junction_phase(FIG)))
+    rot = cmath.exp(1j * (math.pi / math.sqrt(1.5) - FIG.junction_phase))
     for t, e in zip(traj.times, traj.eps):
         exact = epsilon(float(t), FIG).eps
         err = max(err, abs(exact - e))

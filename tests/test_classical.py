@@ -22,11 +22,9 @@ from switchosc import (
     epsilon,
     find_root,
     integrate_ode,
-    junction_phase,
     phase_integral,
     quadrature,
     second_derivative,
-    switch_end,
     wronskian,
 )
 from switchosc.classical import _eps_after, _eps_before, _eps_switching
@@ -34,7 +32,7 @@ from switchosc.frequency import ARRAY
 
 FIG = OscParams()
 FLAT = OscParams(alpha=0.0)
-TJ = switch_end(FIG)
+TJ = FIG.switch_end
 
 
 def _switch_integrand(p: OscParams):
@@ -73,17 +71,21 @@ class TestPhaseIntegral:
 
 class TestJunctionPhase:
     def test_figure_value(self):
-        assert junction_phase(FIG) == pytest.approx(1.282549830161864, abs=1e-14)
+        assert FIG.junction_phase == pytest.approx(1.282549830161864, abs=1e-14)
 
     def test_static_value(self):
-        assert junction_phase(FLAT) == pytest.approx(math.pi / 2.0, abs=1e-14)
+        assert FLAT.junction_phase == pytest.approx(math.pi / 2.0, abs=1e-14)
+
+    def test_is_the_phase_integral_at_the_window_end(self):
+        for p in (FIG, FLAT, OscParams(alpha=0.97)):
+            assert p.junction_phase == phase_integral(p.switch_end, p)
 
     def test_small_switch_value(self):
         p = OscParams(alpha=0.1)
         # pi / (2*sqrt(1.1)), verified against the quadrature oracle
-        assert junction_phase(p) == pytest.approx(1.4976955329233275, abs=1e-13)
-        assert junction_phase(p) == pytest.approx(
-            quadrature(_switch_integrand(p), 0.0, switch_end(p), tol=1e-13), abs=1e-12
+        assert p.junction_phase == pytest.approx(1.4976955329233275, abs=1e-13)
+        assert p.junction_phase == pytest.approx(
+            quadrature(_switch_integrand(p), 0.0, p.switch_end, tol=1e-13), abs=1e-12
         )
 
 
@@ -102,7 +104,7 @@ class TestAmplitude:
     def test_window_end_modulus_and_phase(self):
         amp = epsilon(TJ, FIG)
         assert abs(amp.eps) == pytest.approx(1.0, abs=1e-13)
-        assert cmath.phase(amp.eps) == pytest.approx(junction_phase(FIG), abs=1e-13)
+        assert cmath.phase(amp.eps) == pytest.approx(FIG.junction_phase, abs=1e-13)
 
     def test_junction_instants_use_the_switching_branch(self):
         assert epsilon(0.0, FIG) == _eps_switching(0.0, FIG)

@@ -240,6 +240,31 @@ class TestCoherence:
         assert run(capsys, "coherence", "--t0", "0")[0] == 2
 
 
+class TestOutOfDomainArguments:
+    """Arguments outside the parameter domain exit 2 with one error line and no output."""
+
+    @pytest.mark.parametrize("argv, names", [
+        # pi/(2*omega) overflows, so no window or phase can be formed
+        (["epsilon", "--samples", "3", "--omega", "1e-320", "--alpha", "0"], "switch_end"),
+        # hbar^2 underflows to zero or overflows to infinity
+        (["wigner", "--hbar", "1e-300", "--grid-n", "16"], "hbar"),
+        (["moments", "--hbar", "1e200", "--samples", "3"], "hbar"),
+    ])
+    def test_derived_constants_must_be_finite_normal_doubles(self, capsys, argv, names):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+
+    @pytest.mark.parametrize("command", ["phase-diagram", "wigner", "validate"])
+    @pytest.mark.parametrize("label", [["--z-re", "nan"], ["--z-im", "inf"], ["--z-re=-inf"]])
+    def test_non_finite_state_label_rejected(self, capsys, command, label):
+        code, out, err = run(capsys, command, *label, "--grid-n", "16")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "z_re and z_im" in err
+
+
 class TestValidate:
     def test_json_report_adjudicates_all_checks(self, capsys):
         code, out, _ = run(capsys, "validate", "--format", "json")

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from switchosc import (
     DomainError,
@@ -23,11 +23,9 @@ from switchosc import (
     epsilon,
     find_root,
     integrate_ode,
-    junction_times,
     omega_of,
     quadrature,
     second_derivative,
-    switch_end,
 )
 from switchosc.numerics import (
     _A,
@@ -132,7 +130,7 @@ class TestIntegrator:
     @pytest.mark.parametrize("placement", ["before", "across", "after"])
     def test_sixty_long_windows_match_the_closed_form(self, aw, placement):
         p = OscParams(alpha=aw)
-        t0 = {"before": -61.0, "across": -15.0, "after": switch_end(p) + 1.0}[placement]
+        t0 = {"before": -61.0, "across": -15.0, "after": p.switch_end + 1.0}[placement]
         start = epsilon(t0, p)
         traj = integrate_ode(p, t0, t0 + 60.0, (start.eps, start.eps_dot), 1e-11)
         eps, eps_dot = amplitude(traj.times, p)
@@ -160,7 +158,7 @@ class TestIntegratorStats:
         forced = integrate_ode(FIG, -1.0, 2.0, start, 1e-9, force_junctions=True)
         blind = integrate_ode(FIG, -1.0, 2.0, start, 1e-9, force_junctions=False)
         assert forced.stats.junction_stops == 2
-        assert {0.0, switch_end(FIG)} <= set(forced.times.tolist())
+        assert {0.0, FIG.switch_end} <= set(forced.times.tolist())
         assert blind.stats.junction_stops == 0
 
     def test_fixed_step_rejects_nothing(self):
@@ -198,7 +196,7 @@ def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, force_junctions=True, 
     if t_eval is not None:
         eval_set = set(t_eval)
         stops.update(x for x in t_eval if x > t0)
-    junctions = {tj for tj in junction_times(p) if t0 < tj < t1} if force_junctions else set()
+    junctions = {tj for tj in (0.0, p.switch_end) if t0 < tj < t1} if force_junctions else set()
     stops.update(junctions)
     stop_list = sorted(stops)
     record_all = t_eval is None
@@ -275,7 +273,7 @@ class TestKernelMatchesLoopReference:
 
     def test_requested_times(self):
         p = OscParams(alpha=0.6, omega=1.25)
-        ts = [-2.0, -0.5, 0.0, 0.3, switch_end(p), 2.0, 7.5]
+        ts = [-2.0, -0.5, 0.0, 0.3, p.switch_end, 2.0, 7.5]
         _assert_matches_loop_reference(p, -2.0, 7.5, self.START, 1e-9, t_eval=ts)
 
     def test_fixed_step(self):
@@ -292,8 +290,12 @@ class TestKernelMatchesLoopReference:
        mode=st.sampled_from(["adaptive", "t_eval", "fixed_step", "blind"]),
        start=st.tuples(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
                        st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)))
+# span*5/5.0 rounds above span here; the last requested time must be t1 itself
+@example(aw=0.0, omega=1.0, t0=0.0, span=6.768561452762508, log_tol=-3.0, mode="t_eval",
+         start=(0j, 0j))
 def test_kernel_matches_the_loop_reference(aw, omega, t0, span, log_tol, mode, start):
-    kw = {"adaptive": {}, "t_eval": {"t_eval": [t0 + span * k / 5.0 for k in range(6)]},
+    t_eval = [t0 + span * k / 5.0 for k in range(5)] + [t0 + span]
+    kw = {"adaptive": {}, "t_eval": {"t_eval": t_eval},
           "fixed_step": {"fixed_step": span / 13.0}, "blind": {"force_junctions": False}}[mode]
     _assert_matches_loop_reference(OscParams(alpha=aw / omega, omega=omega), t0, t0 + span,
                                    start, 10.0**log_tol, **kw)

@@ -18,7 +18,6 @@ from switchosc import (
     omega_profile,
     phase_integral,
     second_moments,
-    switch_end,
     wronskian,
 )
 
@@ -42,8 +41,8 @@ def test_wronskian_is_minus_two_i(p, t):
 @settings(deadline=None)
 @given(p=valid_params, ts=st.lists(times, max_size=30))
 def test_array_kernel_matches_the_scalar_path(p, ts):
-    # both junction instants always, where the region masks must agree with region_of
-    ts = np.array([0.0, switch_end(p), *ts])
+    # both junction instants always, where the region masks must agree with epsilon's branches
+    ts = np.array([0.0, p.switch_end, *ts])
     eps, eps_dot = amplitude(ts, p)
     amps = [epsilon(t, p) for t in ts.tolist()]
     columns = (
@@ -104,7 +103,7 @@ def test_conserved_pair_is_time_independent(p, z, t_a, t_b):
 @given(p=valid_params, frac_a=st.floats(0.0, 1.0), frac_b=st.floats(0.0, 1.0))
 def test_phase_integral_is_monotone(p, frac_a, frac_b):
     lo, hi = sorted((frac_a, frac_b))
-    t_end = switch_end(p)
+    t_end = p.switch_end
     assert phase_integral(lo * t_end, p) <= phase_integral(hi * t_end, p) + 1e-15
 
 

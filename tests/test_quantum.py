@@ -16,7 +16,6 @@ from switchosc import (
     OscParams,
     QuadraticCoefficients,
     RangeError,
-    SmusState,
     coherence_scan,
     conserved_pair,
     epsilon,
@@ -26,13 +25,12 @@ from switchosc import (
     invariant_coefficients,
     omega_of,
     second_moments,
-    switch_end,
 )
 
 FIG = OscParams()
 FLAT = OscParams(alpha=0.0)
 Z = 1.0 + 0.2j
-TJ = switch_end(FIG)
+TJ = FIG.switch_end
 GRID = [-5.0 + 15.0 * i / 999.0 for i in range(1000)]
 
 
@@ -64,8 +62,8 @@ class TestFirstMoments:
         fm = first_moments(0.0, 3.0, FIG)
         assert fm.q_mean == 0.0 and fm.p_mean == 0.0
 
-    def test_state_wrapper_is_equivalent_to_a_bare_label(self):
-        assert first_moments(SmusState(Z), 1.3, FIG) == first_moments(Z, 1.3, FIG)
+    def test_real_label_is_its_complex_value(self):
+        assert first_moments(1.5, 1.3, FIG) == first_moments(1.5 + 0j, 1.3, FIG)
 
     @pytest.mark.parametrize("t", [-4.1, -0.5, 0.0, 0.9, TJ, 2.4, 8.0])
     def test_general_form_specializes_exactly(self, t):
@@ -173,7 +171,7 @@ class TestConservedPair:
 
 class TestCoherenceScan:
     def test_static_oscillator_is_always_coherent(self):
-        res = coherence_scan(FLAT, switch_end(FLAT), switch_end(FLAT) + 2.0 * math.pi)
+        res = coherence_scan(FLAT, FLAT.switch_end, FLAT.switch_end + 2.0 * math.pi)
         assert res.always_coherent
         assert res.events == ()
         assert res.sq_ratio == pytest.approx(1.0, abs=1e-12)
