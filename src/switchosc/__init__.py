@@ -26,7 +26,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .frequency import OscParams, QuadraticCoefficients, hamiltonian_coefficients, omega_of, omega_profile
-from .numerics import Trajectory, derivative, find_root, integrate_ode, quadrature, second_derivative
+from .numerics import Trajectory, derivative, find_root, integrate_ode, quadrature
 from .quantum import (
     CoherenceEvent,
     CoherenceScanResult,
@@ -84,7 +84,6 @@ __all__ = [
     "omega_profile",
     "phase_integral",
     "quadrature",
-    "second_derivative",
     "second_moments",
     "wigner_grid",
     "wigner_value",

@@ -20,9 +20,9 @@ Exactly at a junction instant the switching-window form is used, matching
 are fields of :class:`switchosc.frequency.OscParams`, computed once.
 
 Each region's closed form is written once and evaluates either on one float
-(:func:`epsilon`, for single instants such as the integrator's start, root
-polishing and finite differences) or on a float array (:func:`amplitude`, which
-builds the three regions from masks and serves every table).  The
+(:func:`epsilon`, for single instants such as the integrator's start and
+finite differences) or on a float array (:func:`amplitude`, which builds the
+three regions from masks and serves every table and the coherence scan).  The
 ``*_of(eps, eps_dot)`` helpers derive further quantities from either kind.
 """
 
@@ -156,6 +156,8 @@ def amplitude(ts, p: OscParams) -> tuple[np.ndarray, np.ndarray]:
     eps_dot = np.empty(t.shape, dtype=complex)
     for mask, piece in ((before, _eps_before), (~(before | after), _eps_switching),
                         (after, _eps_after)):
+        if not mask.any():
+            continue
         amp = piece(t[mask], p, ARRAY)
         eps[mask] = amp.eps
         eps_dot[mask] = amp.eps_dot

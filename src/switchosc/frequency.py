@@ -91,6 +91,11 @@ class OscParams:
 
         put("aw", aw)
         put("switch_end", math.pi / (2.0 * self.omega))
+        if not self.switch_end > 0.0:
+            # 2*omega overflows above about 9e307, leaving a window of no length
+            raise DomainError(
+                f"derived constant switch_end = {self.switch_end!r} is not positive for {self!r}"
+            )
         put("root", math.sqrt(1.0 + aw))
         put("initial_frequency", _omega_from_cos(1.0, self, SCALAR))
         put("final_frequency", _omega_from_cos(0.0, self, SCALAR))

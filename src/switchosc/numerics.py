@@ -47,10 +47,11 @@ _MAX_FACTOR = 5.0
 class IntegratorStats:
     """What one :func:`integrate_ode` call did.
 
-    ``rhs_calls`` is seven per attempted step; ``junction_stops`` counts the
-    accepted steps that ended on a region junction placed among the stops
-    (none when junctions are not forced).  ``min_step`` and ``max_step``
-    range over the accepted steps.
+    ``rhs_calls`` is seven stage evaluations per attempted step, also where
+    a step outside the switch window reads Omega once; ``junction_stops``
+    counts the accepted steps that ended on a region junction placed among
+    the stops (none when junctions are not forced).  ``min_step`` and
+    ``max_step`` range over the accepted steps.
     """
 
     accepted: int
@@ -83,19 +84,6 @@ class Trajectory:
         return self.states[:, 1]
 
 
-def _error_norm(err: tuple, y: tuple, y_new: tuple, budget: float) -> float:
-    # root mean square of the four error components, each measured against
-    # budget * (1 + the larger magnitude of that component before and after)
-    e0, e1, e2, e3 = err
-    a0, a1, a2, a3 = y
-    b0, b1, b2, b3 = y_new
-    q0 = e0 / (budget * (1.0 + max(abs(a0), abs(b0))))
-    q1 = e1 / (budget * (1.0 + max(abs(a1), abs(b1))))
-    q2 = e2 / (budget * (1.0 + max(abs(a2), abs(b2))))
-    q3 = e3 / (budget * (1.0 + max(abs(a3), abs(b3))))
-    return math.sqrt((q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) / 4.0)
-
-
 def integrate_ode(
     p: OscParams,
     t0: float,
@@ -116,7 +104,9 @@ def integrate_ode(
     smooth there — and exactly on every requested ``t_eval`` point, so no
     interpolation is ever involved.  The inputs are validated once, here;
     each step then runs on the four real state components as floats, reading
-    Omega(t) from ``p.omega_at``.
+    Omega(t) from ``p.omega_at``: once for a step that lies wholly before or
+    wholly after the switch window, where Omega is flat, and at each stage's
+    instant otherwise.
 
     Args:
         init: (eps, eps_dot) at ``t0``.
@@ -149,7 +139,7 @@ def integrate_ode(
     if not (cmath.isfinite(eps0) and cmath.isfinite(eps_dot0)):
         raise DomainError(f"initial values must be finite, got ({eps0!r}, {eps_dot0!r})")
 
-    omega = p.omega_at
+    omega, t_end = p.omega_at, p.switch_end
     # state (x, y, u, v): eps = x + iy, eps_dot = u + iv
     x, y, u, v = eps0.real, eps0.imag, eps_dot0.real, eps_dot0.imag
 
@@ -204,74 +194,84 @@ def integrate_ode(
             h_try, hit = h, False
         else:
             h_try, hit = gap, True
+        # g_i = -Omega^2 at stage i's instant t + c_i*h.  A step wholly after
+        # the window (t > t_end), or wholly before it (t + h < 0, which bounds
+        # every t + c_i*h since c_i <= 1), sees one flat Omega: read it once.
+        if t > t_end or t + h_try < 0.0:
+            w = omega(t)
+            g1 = g2 = g3 = g4 = g5 = g6 = g7 = -(w * w)
+        else:
+            w1, w2, w3, w4, w5, w6, w7 = (
+                omega(t), omega(t + c2 * h_try), omega(t + c3 * h_try), omega(t + c4 * h_try),
+                omega(t + c5 * h_try), omega(t + c6 * h_try), omega(t + c7 * h_try),
+            )
+            g1, g2, g3, g4 = -(w1 * w1), -(w2 * w2), -(w3 * w3), -(w4 * w4)
+            g5, g6, g7 = -(w5 * w5), -(w6 * w6), -(w7 * w7)
         # Seven stages.  Stage i's input is (xi, yi, ui, vi), stage 1's the
-        # state itself, and its derivative is (ui, vi, gxi, gyi) with
-        # g = -Omega^2 at its instant.  Each input is the state plus
-        # h*(0.0 + a_i1*k_1 + a_i2*k_2 + ...), summed left to right; the
-        # seventh is the fifth-order solution.
-        w = omega(t)
-        g = -(w * w)
-        gx1, gy1 = g * x, g * y
+        # state itself, and its derivative is (ui, vi, gi*xi, gi*yi).  Each
+        # input is the state plus h*(0.0 + a_i1*k_1 + a_i2*k_2 + ...), summed
+        # left to right; the seventh is the fifth-order solution.
+        gx1, gy1 = g1 * x, g1 * y
         x2 = x + h_try * (0.0 + a21 * u)
         y2 = y + h_try * (0.0 + a21 * v)
         u2 = u + h_try * (0.0 + a21 * gx1)
         v2 = v + h_try * (0.0 + a21 * gy1)
-        w = omega(t + c2 * h_try)
-        g = -(w * w)
-        gx2, gy2 = g * x2, g * y2
+        gx2, gy2 = g2 * x2, g2 * y2
         x3 = x + h_try * (0.0 + a31 * u + a32 * u2)
         y3 = y + h_try * (0.0 + a31 * v + a32 * v2)
         u3 = u + h_try * (0.0 + a31 * gx1 + a32 * gx2)
         v3 = v + h_try * (0.0 + a31 * gy1 + a32 * gy2)
-        w = omega(t + c3 * h_try)
-        g = -(w * w)
-        gx3, gy3 = g * x3, g * y3
+        gx3, gy3 = g3 * x3, g3 * y3
         x4 = x + h_try * (0.0 + a41 * u + a42 * u2 + a43 * u3)
         y4 = y + h_try * (0.0 + a41 * v + a42 * v2 + a43 * v3)
         u4 = u + h_try * (0.0 + a41 * gx1 + a42 * gx2 + a43 * gx3)
         v4 = v + h_try * (0.0 + a41 * gy1 + a42 * gy2 + a43 * gy3)
-        w = omega(t + c4 * h_try)
-        g = -(w * w)
-        gx4, gy4 = g * x4, g * y4
+        gx4, gy4 = g4 * x4, g4 * y4
         x5 = x + h_try * (0.0 + a51 * u + a52 * u2 + a53 * u3 + a54 * u4)
         y5 = y + h_try * (0.0 + a51 * v + a52 * v2 + a53 * v3 + a54 * v4)
         u5 = u + h_try * (0.0 + a51 * gx1 + a52 * gx2 + a53 * gx3 + a54 * gx4)
         v5 = v + h_try * (0.0 + a51 * gy1 + a52 * gy2 + a53 * gy3 + a54 * gy4)
-        w = omega(t + c5 * h_try)
-        g = -(w * w)
-        gx5, gy5 = g * x5, g * y5
+        gx5, gy5 = g5 * x5, g5 * y5
         x6 = x + h_try * (0.0 + a61 * u + a62 * u2 + a63 * u3 + a64 * u4 + a65 * u5)
         y6 = y + h_try * (0.0 + a61 * v + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
         u6 = u + h_try * (0.0 + a61 * gx1 + a62 * gx2 + a63 * gx3 + a64 * gx4 + a65 * gx5)
         v6 = v + h_try * (0.0 + a61 * gy1 + a62 * gy2 + a63 * gy3 + a64 * gy4 + a65 * gy5)
-        w = omega(t + c6 * h_try)
-        g = -(w * w)
-        gx6, gy6 = g * x6, g * y6
+        gx6, gy6 = g6 * x6, g6 * y6
         x7 = x + h_try * (0.0 + a71 * u + a72 * u2 + a73 * u3 + a74 * u4 + a75 * u5 + a76 * u6)
         y7 = y + h_try * (0.0 + a71 * v + a72 * v2 + a73 * v3 + a74 * v4 + a75 * v5 + a76 * v6)
         u7 = u + h_try * (0.0 + a71 * gx1 + a72 * gx2 + a73 * gx3 + a74 * gx4 + a75 * gx5 + a76 * gx6)
         v7 = v + h_try * (0.0 + a71 * gy1 + a72 * gy2 + a73 * gy3 + a74 * gy4 + a75 * gy5 + a76 * gy6)
-        w = omega(t + c7 * h_try)
-        g = -(w * w)
-        gx7, gy7 = g * x7, g * y7
+        gx7, gy7 = g7 * x7, g7 * y7
         rhs_calls += 7
         if fixed_step is None:
             # budget each step a decade below the requested tolerance so the
-            # accumulated drift of conserved quantities stays within a few tol
-            err = (
-                0.0 + h_try * (0.0 + e1 * u + e2 * u2 + e3 * u3 + e4 * u4 + e5 * u5 + e6 * u6 + e7 * u7),
-                0.0 + h_try * (0.0 + e1 * v + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v7),
-                0.0 + h_try * (0.0 + e1 * gx1 + e2 * gx2 + e3 * gx3 + e4 * gx4 + e5 * gx5 + e6 * gx6 + e7 * gx7),
-                0.0 + h_try * (0.0 + e1 * gy1 + e2 * gy2 + e3 * gy3 + e4 * gy4 + e5 * gy5 + e6 * gy6 + e7 * gy7),
-            )
-            err_norm = _error_norm(err, (x, y, u, v), (x7, y7, u7, v7), budget)
+            # accumulated drift of conserved quantities stays within a few tol.
+            # The error norm is the root mean square of the four components of
+            # the error estimate, each measured against budget * (1 + the
+            # larger magnitude of that component before and after the step).
+            ex = 0.0 + h_try * (0.0 + e1 * u + e2 * u2 + e3 * u3 + e4 * u4 + e5 * u5 + e6 * u6 + e7 * u7)
+            ey = 0.0 + h_try * (0.0 + e1 * v + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v7)
+            eu = 0.0 + h_try * (0.0 + e1 * gx1 + e2 * gx2 + e3 * gx3 + e4 * gx4 + e5 * gx5 + e6 * gx6 + e7 * gx7)
+            ev = 0.0 + h_try * (0.0 + e1 * gy1 + e2 * gy2 + e3 * gy3 + e4 * gy4 + e5 * gy5 + e6 * gy6 + e7 * gy7)
+            s0, s1 = abs(x), abs(x7)
+            ex /= budget * (1.0 + (s1 if s1 > s0 else s0))
+            s0, s1 = abs(y), abs(y7)
+            ey /= budget * (1.0 + (s1 if s1 > s0 else s0))
+            s0, s1 = abs(u), abs(u7)
+            eu /= budget * (1.0 + (s1 if s1 > s0 else s0))
+            s0, s1 = abs(v), abs(v7)
+            ev /= budget * (1.0 + (s1 if s1 > s0 else s0))
+            err_norm = math.sqrt((ex * ex + ey * ey + eu * eu + ev * ev) / 4.0)
         else:
             err_norm = 0.0
         if err_norm <= 1.0:
             t = stop if hit else t + h_try
             x, y, u, v = x7, y7, u7, v7
             accepted += 1
-            min_step, max_step = min(min_step, h_try), max(max_step, h_try)
+            if h_try < min_step:
+                min_step = h_try
+            if h_try > max_step:
+                max_step = h_try
             if hit and stop in junctions:
                 junction_stops += 1
             if record_all or t in eval_set:
@@ -342,58 +342,99 @@ def _adapt_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def find_root(f: Callable[[float], float], bracket: tuple[float, float],
-              tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Locate a zero of ``f`` inside a sign-changing bracket to within ``tol``.
+@dataclass(frozen=True)
+class RootStats:
+    """What one :func:`find_root` call did.
 
-    Secant steps alternate with bisection, so the bracket at least halves
-    every other iteration regardless of how the secant behaves.  When ``tol``
-    is finer than the spacing of doubles near the root, the search ends once
-    the bracket ends are adjacent doubles.
+    ``brackets`` is the number of lanes searched, ``iterations`` the secant
+    and bisection steps summed over the lanes, and ``evaluations`` the calls
+    of ``f``, each on an array (the bracket ends take one).
+    """
+
+    brackets: int
+    iterations: int
+    evaluations: int
+
+
+def find_root(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-12,
+              max_iter: int = 200) -> tuple[np.ndarray, RootStats]:
+    """Locate a zero of ``f`` inside each sign-changing bracket [lo[k], hi[k]].
+
+    ``f`` maps a float array to an array of its values.  Every lane runs the
+    same iteration: secant steps alternate with bisection, so the bracket at
+    least halves every other iteration regardless of how the secant behaves,
+    and the lane ends once its bracket is within 2*``tol`` or, when ``tol``
+    is finer than the spacing of doubles near the root, once its ends are
+    adjacent doubles.  Each iteration calls ``f`` once, on the lanes still
+    searching.
+
+    Returns:
+        the roots, in the order of the brackets, and the :class:`RootStats`.
 
     Raises:
-        NoSignChange: if f has the same sign at both bracket ends.
+        RangeError: unless ``lo`` and ``hi`` are 1-d of one length with
+            lo < hi in every lane.
+        NoSignChange: if f has the same sign at both ends of a bracket.
+        ToleranceNotMet: if a lane is still searching after ``max_iter``
+            iterations.
     """
-    a, b = bracket
-    if not a < b:
-        raise RangeError(f"bracket must satisfy lo < hi, got {bracket!r}")
-    fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        raise NoSignChange(f"f({a!r})={fa!r} and f({b!r})={fb!r} have the same sign")
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise RangeError(f"lo and hi must be 1-d arrays of one length, got {a.shape} and {b.shape}")
+    if not (a < b).all():
+        k = int(np.flatnonzero(~(a < b))[0])
+        raise RangeError(f"bracket must satisfy lo < hi, got ({float(a[k])!r}, {float(b[k])!r})")
+    n = a.size
+    roots = np.empty(n)
+    ends = f(np.concatenate((a, b)))
+    fa, fb = ends[:n], ends[n:]
+    evaluations, iterations = 1, 0
+    # an end where f vanishes is the root (the lower end first)
+    hit_a = fa == 0.0
+    hit_b = (fb == 0.0) & ~hit_a
+    roots[hit_a], roots[hit_b] = a[hit_a], b[hit_b]
+    live = np.flatnonzero(~(hit_a | hit_b))
+    a, b, fa, fb = a[live], b[live], fa[live], fb[live]
+    same = (fa > 0.0) == (fb > 0.0)
+    if same.any():
+        k = int(np.flatnonzero(same)[0])
+        ak, bk, fak, fbk = float(a[k]), float(b[k]), float(fa[k]), float(fb[k])
+        raise NoSignChange(f"f({ak!r})={fak!r} and f({bk!r})={fbk!r} have the same sign")
     use_secant = True
     for _ in range(max_iter):
         m = 0.5 * (a + b)
         # no double strictly between a and b: the bracket cannot shrink further
-        if b - a <= 2.0 * tol or not a < m < b:
-            return m
-        if use_secant and fb != fa:
-            x = b - fb * (b - a) / (fb - fa)
-            if not a < x < b:
-                x = m
+        done = (b - a <= 2.0 * tol) | ~((a < m) & (m < b))
+        if done.any():
+            roots[live[done]] = m[done]
+            go = ~done
+            live, a, b, fa, fb, m = live[go], a[go], b[go], fa[go], fb[go], m[go]
+        if live.size == 0:
+            break
+        if use_secant:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = b - fb * (b - a) / (fb - fa)
+            x = np.where((fb != fa) & (a < x) & (x < b), x, m)
         else:
             x = m
         use_secant = not use_secant
         fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fa > 0.0):
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-    raise ToleranceNotMet(f"root not located to {tol!r} within {max_iter} iterations")
+        evaluations += 1
+        iterations += live.size
+        zero = fx == 0.0
+        if zero.any():
+            roots[live[zero]] = x[zero]
+            go = ~zero
+            live, a, b, fa, fb, x, fx = live[go], a[go], b[go], fa[go], fb[go], x[go], fx[go]
+        lower = (fx > 0.0) == (fa > 0.0)
+        a, fa = np.where(lower, x, a), np.where(lower, fx, fa)
+        b, fb = np.where(lower, b, x), np.where(lower, fb, fx)
+    if live.size:
+        raise ToleranceNotMet(f"root not located to {tol!r} within {max_iter} iterations")
+    return roots, RootStats(brackets=n, iterations=iterations, evaluations=evaluations)
 
 
 def derivative(f, x: float, h: float = 1e-4):
     """Fourth-order central difference df/dx; f may be real or complex valued."""
     return (f(x - 2 * h) - 8.0 * f(x - h) + 8.0 * f(x + h) - f(x + 2 * h)) / (12.0 * h)
 
-
-def second_derivative(f, x: float, h: float = 1e-3):
-    """Fourth-order central difference d2f/dx2; f may be real or complex valued."""
-    return (
-        -f(x - 2 * h) + 16.0 * f(x - h) - 30.0 * f(x) + 16.0 * f(x + h) - f(x + 2 * h)
-    ) / (12.0 * h * h)

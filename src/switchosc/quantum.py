@@ -15,10 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalAmplitude, amplitude, envelope, envelope_of, epsilon
+from .classical import ClassicalAmplitude, amplitude, envelope_of, epsilon
 from .errors import DomainError, RangeError
 from .frequency import OscParams, QuadraticCoefficients, omega_of
-from .numerics import find_root
+from .numerics import RootStats, find_root
+
+# the stats of a scan that polished no bracket
+NO_SEARCH = RootStats(brackets=0, iterations=0, evaluations=0)
 
 
 @dataclass(frozen=True)
@@ -81,13 +84,16 @@ class CoherenceScanResult:
 
     With a static frequency (alpha = 0) the cofluctuation vanishes
     identically; ``always_coherent`` is then set and the uniform ratios are
-    reported instead of discrete events.
+    reported instead of discrete events.  ``stats`` is what the root search
+    did: the brackets polished, the lane iterations and the evaluations of
+    the envelope slope (all zero when nothing was polished).
     """
 
     always_coherent: bool
     events: tuple[CoherenceEvent, ...]
     sq_ratio: float | None = None
     sp_ratio: float | None = None
+    stats: RootStats = NO_SEARCH
 
 
 def invariant_coefficients(t: float, p: OscParams) -> InvariantCoefficients:
@@ -199,7 +205,9 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
     """Find all cofluctuation zeros in [t_lo, t_hi] of the post-switch region.
 
     Zeros of c_qp coincide with envelope extrema, so the scan brackets sign
-    changes of the envelope slope and polishes each with the root finder.
+    changes of the envelope slope on a grid and polishes all the brackets in
+    one lane-wise :func:`switchosc.numerics.find_root` call, each iteration
+    evaluating the slope on the array kernel.
     Zeros sitting exactly on a window edge are ambiguous and dropped.  Each
     event also records the nearest reference coherent-instant prediction and
     the offset from it, as diagnostics.
@@ -234,39 +242,40 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
         )
     pred_spacing = math.pi / (4.0 * p.initial_frequency)
 
-    def slope(x: float) -> float:
-        return envelope(x, p).r_dot
+    def slope(x: np.ndarray) -> np.ndarray:
+        return envelope_of(*amplitude(x, p))[1]
 
     n = max(8, math.ceil((t_hi - t_lo) / (spacing / 16.0)))
     ts = t_lo + np.arange(n + 1) * (t_hi - t_lo) / n
-    grid = ts.tolist()
-    values = envelope_of(*amplitude(ts, p))[1].tolist()
-    roots: list[float] = []
-    for i in range(n):
-        f0, f1 = values[i], values[i + 1]
-        if f0 == 0.0:
-            roots.append(grid[i])
-        elif f1 != 0.0 and (f0 > 0.0) != (f1 > 0.0):
-            roots.append(find_root(slope, (grid[i], grid[i + 1]), tol=1e-13))
-    if values[-1] == 0.0:
-        roots.append(grid[-1])
+    values = slope(ts)
+    # a zero on the grid is an event; a sign change between two nonzero
+    # neighbours is a bracket, and all brackets are polished at once
+    zeros = np.flatnonzero(values == 0.0)
+    f0, f1 = values[:-1], values[1:]
+    brackets = np.flatnonzero((f0 != 0.0) & (f1 != 0.0) & ((f0 > 0.0) != (f1 > 0.0)))
+    stats, polished = NO_SEARCH, np.empty(0)
+    if brackets.size:
+        polished, stats = find_root(slope, ts[brackets], ts[brackets + 1], tol=1e-13)
+    # bracket k's root lies in [ts[k], ts[k + 1]], so sorting keeps grid order
+    roots = np.sort(np.concatenate((ts[zeros], polished)))
     edge = 1e-6 * spacing
-    roots = [r for r in roots if r - t_lo > edge and t_hi - r > edge]
+    roots = roots[(roots - t_lo > edge) & (t_hi - roots > edge)]
 
+    # every root lies past the switch end, where Omega is the final frequency
+    w = p.final_frequency
+    sq2, sp2, cqp = second_moments_of(*amplitude(roots, p), p)
     events = []
-    for r in roots:
-        cov = second_moments(r, p)
-        w = omega_of(r, p)
+    for r, sq2_r, sp2_r, cqp_r in zip(roots.tolist(), sq2.tolist(), sp2.tolist(), cqp.tolist()):
         n_near = max(1, round((r - t_j) / pred_spacing - 0.5))
         t_pred = t_j + (n_near + 0.5) * pred_spacing
         events.append(
             CoherenceEvent(
                 t=r,
-                sq_ratio=p.m * w * cov.sq2 / half,
-                sp_ratio=cov.sp2 / (p.m * w * half),
-                cqp=cov.cqp,
+                sq_ratio=p.m * w * sq2_r / half,
+                sp_ratio=sp2_r / (p.m * w * half),
+                cqp=cqp_r,
                 t_predicted=t_pred,
                 offset=abs(r - t_pred),
             )
         )
-    return CoherenceScanResult(always_coherent=False, events=tuple(events))
+    return CoherenceScanResult(always_coherent=False, events=tuple(events), stats=stats)

@@ -24,11 +24,12 @@ from switchosc import (
     integrate_ode,
     phase_integral,
     quadrature,
-    second_derivative,
     wronskian,
 )
-from switchosc.classical import _eps_after, _eps_before, _eps_switching
+from switchosc.classical import _eps_after, _eps_before, _eps_switching, envelope_of
 from switchosc.frequency import ARRAY
+
+from reference_numerics import second_derivative
 
 FIG = OscParams()
 FLAT = OscParams(alpha=0.0)
@@ -191,9 +192,10 @@ class TestEnvelope:
     def test_post_switch_extremum_located_by_root_finder(self):
         # first post-switch envelope extremum: switch end + quarter period
         expected = TJ + math.pi / (2.0 * math.sqrt(0.5))
-        found = find_root(lambda t: envelope(t, FIG).r_dot, (expected - 0.8, expected + 0.8),
-                          tol=1e-12)
-        assert found == pytest.approx(expected, abs=1e-10)
+        roots, _ = find_root(lambda t: envelope_of(*amplitude(t, FIG))[1], [expected - 0.8],
+                             [expected + 0.8], tol=1e-12)
+        assert roots.shape == (1,)
+        assert roots[0] == pytest.approx(expected, abs=1e-10)
 
 
 class TestSwitchWindowStructure:

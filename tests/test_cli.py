@@ -246,6 +246,8 @@ class TestOutOfDomainArguments:
     @pytest.mark.parametrize("argv, names", [
         # pi/(2*omega) overflows, so no window or phase can be formed
         (["epsilon", "--samples", "3", "--omega", "1e-320", "--alpha", "0"], "switch_end"),
+        # 2*omega overflows, so pi/(2*omega) is 0.0 and the window has no length
+        (["epsilon", "--samples", "3", "--omega", "1e308", "--alpha", "0"], "switch_end"),
         # hbar^2 underflows to zero or overflows to infinity
         (["wigner", "--hbar", "1e-300", "--grid-n", "16"], "hbar"),
         (["moments", "--hbar", "1e200", "--samples", "3"], "hbar"),

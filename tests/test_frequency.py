@@ -7,6 +7,7 @@ asserted here:
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ class TestValidation:
         # pi/(2*omega) overflows; nothing that depends on it is computed
         with pytest.raises(DomainError, match="switch_end"):
             OscParams(alpha=alpha, omega=1e-320)
+
+    @pytest.mark.parametrize("omega", [1e308, sys.float_info.max])
+    def test_window_must_have_a_length(self, omega):
+        # 2*omega overflows, so pi/(2*omega) is 0.0: the window would be empty
+        with pytest.raises(DomainError, match="switch_end = 0.0 is not positive"):
+            OscParams(alpha=0.0, omega=omega)
+
+    def test_largest_omega_with_a_window_accepted(self):
+        p = OscParams(alpha=0.0, omega=sys.float_info.max / 2.0)
+        assert p.switch_end > 0.0
 
 
 class TestDerivedConstants:

@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from switchosc import (
     DomainError,
@@ -25,8 +25,8 @@ from switchosc import (
     integrate_ode,
     omega_of,
     quadrature,
-    second_derivative,
 )
+from switchosc.classical import envelope_of
 from switchosc.numerics import (
     _A,
     _C,
@@ -35,8 +35,10 @@ from switchosc.numerics import (
     _MIN_FACTOR,
     _SAFETY,
     IntegratorStats,
-    _error_norm,
+    RootStats,
 )
+
+from reference_numerics import scalar_find_root, second_derivative
 
 FIG = OscParams()
 FLAT = OscParams(alpha=0.0)
@@ -168,6 +170,19 @@ class TestIntegratorStats:
         assert stats.min_step == pytest.approx(0.1, abs=1e-12)
 
 
+def _error_norm(err: tuple, y: tuple, y_new: tuple, budget: float) -> float:
+    # root mean square of the four error components, each measured against
+    # budget * (1 + the larger magnitude of that component before and after)
+    e0, e1, e2, e3 = err
+    a0, a1, a2, a3 = y
+    b0, b1, b2, b3 = y_new
+    q0 = e0 / (budget * (1.0 + max(abs(a0), abs(b0))))
+    q1 = e1 / (budget * (1.0 + max(abs(a1), abs(b1))))
+    q2 = e2 / (budget * (1.0 + max(abs(a2), abs(b2))))
+    q3 = e3 / (budget * (1.0 + max(abs(a3), abs(b3))))
+    return math.sqrt((q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) / 4.0)
+
+
 def _combine(y, h, coeffs, ks):
     s0 = s1 = s2 = s3 = 0.0
     for a, (k0, k1, k2, k3) in zip(coeffs, ks):
@@ -283,6 +298,36 @@ class TestKernelMatchesLoopReference:
         _assert_matches_loop_reference(OscParams(alpha=0.97), -1.0, 3.0, self.START, 1e-11,
                                        force_junctions=False)
 
+    # The cases below pin where the kernel reads Omega once per step (wholly
+    # before or after the window) and where it reads it at every stage.
+
+    @pytest.mark.parametrize("tol", [1e-11, 1e-3])
+    def test_last_step_lands_on_zero(self, tol):
+        # the final step ends exactly on t = 0.0, which is inside the window
+        _assert_matches_loop_reference(OscParams(alpha=0.97), -2.0, 0.0, self.START, tol)
+
+    def test_fixed_steps_land_on_zero(self):
+        # -1.0 + 4*0.25 is exactly 0.0, reached by arithmetic, not by a stop
+        _assert_matches_loop_reference(OscParams(alpha=0.97), -1.0, 1.0, self.START, 1e-6,
+                                       fixed_step=0.25)
+
+    def test_start_on_the_window_end(self):
+        p = OscParams(alpha=0.97)
+        _assert_matches_loop_reference(p, p.switch_end, p.switch_end + 5.0, self.START, 1e-11)
+
+    def test_step_enters_the_window_after_its_fifth_stage(self):
+        # the first step spans [-0.95, 0.05]: its stages up to t + (8/9)*h lie
+        # before the window, its last two inside it
+        _assert_matches_loop_reference(OscParams(alpha=0.97), -0.95, 3.05, self.START, 1e-6,
+                                       fixed_step=1.0, force_junctions=False)
+
+    @pytest.mark.parametrize("aw", [0.5, 0.97])
+    @pytest.mark.parametrize("tol", [1e-11, 1e-3])
+    @pytest.mark.parametrize("t0, t1", [(-1.0, 0.5), (1.0, 3.0)], ids=["crosses-0", "crosses-end"])
+    def test_blind_across_one_junction(self, aw, tol, t0, t1):
+        _assert_matches_loop_reference(OscParams(alpha=aw), t0, t1, self.START, tol,
+                                       force_junctions=False)
+
 
 @settings(max_examples=40, deadline=None)
 @given(aw=st.floats(0.0, 0.999), omega=st.floats(0.5, 2.0), t0=st.floats(-30.0, 1010.0),
@@ -338,29 +383,123 @@ class TestQuadrature:
             quadrature(lambda x: math.sin(1.0 / (x + 1e-300)), 0.0, 1.0, 1e-13, max_depth=20)
 
 
+def _one(roots_and_stats):
+    roots, _ = roots_and_stats
+    assert roots.shape == (1,)
+    return roots[0]
+
+
 class TestFindRoot:
     def test_linear(self):
-        assert find_root(lambda t: t - 1.0, (0.0, 2.0), 1e-12) == pytest.approx(1.0, abs=1e-12)
+        assert _one(find_root(lambda t: t - 1.0, [0.0], [2.0], 1e-12)) == pytest.approx(1.0, abs=1e-12)
 
     def test_cosine(self):
-        assert find_root(math.cos, (1.0, 2.0), 1e-13) == pytest.approx(math.pi / 2.0, abs=1e-12)
+        assert _one(find_root(np.cos, [1.0], [2.0], 1e-13)) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_endpoint_zero_returned_immediately(self):
-        assert find_root(lambda t: t, (0.0, 1.0), 1e-12) == 0.0
+        roots, stats = find_root(lambda t: t, [0.0], [1.0], 1e-12)
+        assert roots[0] == 0.0
+        assert stats == RootStats(brackets=1, iterations=0, evaluations=1)
 
     def test_same_sign_rejected(self):
         with pytest.raises(NoSignChange):
-            find_root(lambda t: t * t + 1.0, (-1.0, 1.0), 1e-12)
+            find_root(lambda t: t * t + 1.0, [-1.0], [1.0], 1e-12)
 
     def test_root_past_1024_found_to_one_ulp(self):
         # the doubles near 1030.3 lie 2.3e-13 apart, wider than 2*tol, and
         # f vanishes at no double, so the bracket closes on adjacent doubles
-        root = find_root(lambda t: (t - 1030.0) - 0.3, (1030.0, 1031.0), tol=1e-13)
+        root = _one(find_root(lambda t: (t - 1030.0) - 0.3, [1030.0], [1031.0], tol=1e-13))
         assert abs(root - 1030.3) <= math.ulp(1030.3)
 
     def test_bad_bracket_rejected(self):
         with pytest.raises(RangeError):
-            find_root(math.cos, (2.0, 1.0), 1e-12)
+            find_root(np.cos, [2.0], [1.0], 1e-12)
+
+    def test_any_bad_lane_is_rejected(self):
+        with pytest.raises(NoSignChange):
+            find_root(np.cos, [1.0, 3.0], [2.0, 4.0], 1e-12)
+        with pytest.raises(RangeError):
+            find_root(np.cos, [1.0, 1.0], [2.0, 1.0], 1e-12)
+        with pytest.raises(RangeError):
+            find_root(np.cos, [1.0, 3.0], [2.0], 1e-12)
+
+    def test_iteration_budget(self):
+        with pytest.raises(ToleranceNotMet):
+            find_root(np.cos, [1.0], [2.0], 1e-13, max_iter=3)
+
+
+def _assert_lanes_match_scalar_reference(f, lo, hi, tol, max_iter=200):
+    """Each lane equals the scalar reference, run with the same doubles of f."""
+
+    def f_scalar(x: float) -> float:
+        return float(f(np.array([x]))[0])
+
+    roots, stats = find_root(f, lo, hi, tol, max_iter)
+    calls = []
+    want = []
+    for a, b in zip(lo, hi):
+        count = [0]
+
+        def counted(x, count=count):
+            count[0] += 1
+            return f_scalar(x)
+
+        want.append(scalar_find_root(counted, (a, b), tol, max_iter))
+        calls.append(count[0])
+    assert roots.tobytes() == np.array(want).tobytes()
+    # the scalar search makes two end calls and one call per iteration
+    assert stats == RootStats(brackets=len(lo), iterations=sum(calls) - 2 * len(calls),
+                              evaluations=1 + max(calls) - 2)
+    return roots
+
+
+class TestLanesMatchScalarReference:
+    def test_polynomial_lanes(self):
+        # each bracket holds one or all three of the roots 0.75, -1.2 and 1.3
+        lo = [0.0, 0.5, -2.5, 0.9, 1.0, -1.5]
+        hi = [1.0, 1.0, -0.5, 2.0, 1.5, 2.0]
+        _assert_lanes_match_scalar_reference(lambda t: (t - 0.75) * (t + 1.2) * (t - 1.3), lo, hi,
+                                             1e-12)
+
+    def test_endpoint_zeros(self):
+        # zeros at 0 and 1: both ends, the lower end, the upper end, inside
+        lo, hi = [0.0, 1.0, -1.0, -0.5], [1.0, 2.0, 0.0, 0.5]
+        roots = _assert_lanes_match_scalar_reference(lambda t: t * (t - 1.0), lo, hi, 1e-12)
+        assert roots[:3].tolist() == [0.0, 1.0, 0.0]
+
+    def test_flat_secant_and_tiny_tolerance(self):
+        # the cube is flat at its root, so secant steps crawl and bisection works
+        lo, hi = [-1.0, -0.3, -1e-3], [2.0, 0.1, 5e-4]
+        _assert_lanes_match_scalar_reference(lambda t: t ** 3, lo, hi, 1e-13)
+
+    def test_past_1024_lanes_close_on_adjacent_doubles(self):
+        # zeros of sin(4t) at k*pi/4, between 1030 and 1034
+        zeros = [k * math.pi / 4.0 for k in range(1312, 1317)]
+        lo, hi = [z - 0.3 for z in zeros], [z + 0.2 for z in zeros]
+        _assert_lanes_match_scalar_reference(lambda t: np.sin(4.0 * t), lo, hi, 1e-13)
+
+    def test_envelope_slope_lanes(self):
+        p = OscParams(alpha=0.6, omega=1.25)
+        slope = lambda t: envelope_of(*amplitude(t, p))[1]
+        ts = p.switch_end + 0.5 + 0.3 * np.arange(100)
+        vals = slope(ts)
+        k = np.flatnonzero((vals[:-1] > 0.0) != (vals[1:] > 0.0))
+        assert k.size > 10
+        _assert_lanes_match_scalar_reference(slope, ts[k].tolist(), ts[k + 1].tolist(), 1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(freq=st.floats(0.2, 6.0), phase=st.floats(-3.0, 3.0), offset=st.floats(-0.9, 0.9),
+       t0=st.floats(-40.0, 1100.0), width=st.floats(1e-7, 2.0), n=st.integers(1, 16),
+       log_tol=st.floats(-14.0, -4.0))
+def test_lanes_match_the_scalar_reference(freq, phase, offset, t0, width, n, log_tol):
+    f = lambda t: np.sin(freq * t + phase) + offset
+    grid = t0 + width * np.arange(n + 1)
+    vals = f(grid)
+    k = np.flatnonzero((vals[:-1] == 0.0) | (vals[1:] == 0.0) | ((vals[:-1] > 0.0) != (vals[1:] > 0.0)))
+    k = k[grid[k] < grid[k + 1]]
+    assume(k.size > 0)
+    _assert_lanes_match_scalar_reference(f, grid[k].tolist(), grid[k + 1].tolist(), 10.0**log_tol)
 
 
 class TestFiniteDifferences:

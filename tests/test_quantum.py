@@ -8,6 +8,7 @@ from eps(0) = sqrt(3/2) and eps_dot(0) = i*sqrt(2/3):
 
 import math
 
+import numpy as np
 import pytest
 
 from switchosc import (
@@ -26,6 +27,11 @@ from switchosc import (
     omega_of,
     second_moments,
 )
+from switchosc.classical import amplitude, envelope_of
+from switchosc.numerics import RootStats
+from switchosc.quantum import second_moments_of
+
+from reference_numerics import scalar_find_root
 
 FIG = OscParams()
 FLAT = OscParams(alpha=0.0)
@@ -215,3 +221,77 @@ class TestCoherenceScan:
         # doubles there lie 0.125 apart, far coarser than the event spacing allows
         with pytest.raises(RangeError, match="resolved"):
             coherence_scan(FIG, 1e15, 1.00000000000003e15)
+
+
+def _reference_scan(p: OscParams, t_lo: float, t_hi: float) -> list[tuple]:
+    """The scan bracket by bracket, polishing each root with the scalar reference.
+
+    The envelope slope and the moments come from one-lane calls of the array
+    kernel, so each lane sees the doubles the lane-wise search sees.
+    """
+
+    def one_lane(x: float):
+        amp = amplitude(np.array([x]), p)
+        return envelope_of(*amp)[1][0], second_moments_of(*amp, p)
+
+    t_j, half = p.switch_end, 0.5 * p.hbar
+    spacing = math.pi / (2.0 * p.final_frequency)
+    pred_spacing = math.pi / (4.0 * p.initial_frequency)
+    n = max(8, math.ceil((t_hi - t_lo) / (spacing / 16.0)))
+    grid = (t_lo + np.arange(n + 1) * (t_hi - t_lo) / n).tolist()
+    values = [float(one_lane(x)[0]) for x in grid]
+    roots = []
+    for i in range(n):
+        f0, f1 = values[i], values[i + 1]
+        if f0 == 0.0:
+            roots.append(grid[i])
+        elif f1 != 0.0 and (f0 > 0.0) != (f1 > 0.0):
+            slope = lambda x: float(one_lane(x)[0])
+            roots.append(scalar_find_root(slope, (grid[i], grid[i + 1]), tol=1e-13))
+    if values[-1] == 0.0:
+        roots.append(grid[-1])
+    edge = 1e-6 * spacing
+    events = []
+    for r in (r for r in roots if r - t_lo > edge and t_hi - r > edge):
+        sq2, sp2, cqp = (float(v[0]) for v in one_lane(r)[1])
+        w = omega_of(r, p)
+        n_near = max(1, round((r - t_j) / pred_spacing - 0.5))
+        t_pred = t_j + (n_near + 0.5) * pred_spacing
+        events.append((r, p.m * w * sq2 / half, sp2 / (p.m * w * half), cqp, t_pred,
+                       abs(r - t_pred)))
+    return events
+
+
+def _long_window(aw: float) -> tuple[OscParams, float, float]:
+    p = OscParams(alpha=aw)
+    return p, p.switch_end, p.switch_end + 3.0 * 2.0 * math.pi / p.final_frequency
+
+
+class TestCoherenceScanMatchesScalarReference:
+    @pytest.mark.parametrize("p, t_lo, t_hi", [
+        (FIG, TJ, TJ + 30.0),  # starts on the window end, as validate's scan does
+        (FIG, 1030.0, 1060.0),  # doubles there are coarser than the 1e-13 tolerance
+        (OscParams(alpha=0.97, omega=1.01, m=1.2, hbar=0.9), TJ + 0.7, TJ + 300.0),
+        _long_window(1e-12),
+        _long_window(1.0 - 1e-9),
+    ], ids=["from-switch-end", "past-1024", "benchmark-like", "aw-1e-12", "aw-1-1e-9"])
+    def test_events_equal_the_reference_bit_for_bit(self, p, t_lo, t_hi):
+        res = coherence_scan(p, t_lo, t_hi)
+        want = _reference_scan(p, t_lo, t_hi)
+        got = [(e.t, e.sq_ratio, e.sp_ratio, e.cqp, e.t_predicted, e.offset) for e in res.events]
+        assert len(got) >= 4
+        assert [tuple(map(float.hex, g)) for g in got] == [tuple(map(float.hex, w)) for w in want]
+        assert res.stats.brackets >= len(got)
+
+    def test_stats_of_a_fixed_scan(self):
+        # six brackets: the first sits on the window end and is dropped as an edge zero
+        res = coherence_scan(FIG, TJ, TJ + 12.0)
+        assert len(res.events) == 5
+        assert res.stats == RootStats(brackets=6, iterations=156, evaluations=41)
+
+    def test_no_search_without_brackets(self):
+        # a window shorter than the event spacing holds no sign change
+        res = coherence_scan(FIG, TJ + 0.5, TJ + 1.5)
+        assert res.events == ()
+        assert res.stats == RootStats(brackets=0, iterations=0, evaluations=0)
+        assert coherence_scan(FLAT, FLAT.switch_end, 10.0).stats == res.stats
