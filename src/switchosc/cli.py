@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -66,7 +67,13 @@ def _linspace(a: float, b: float, n: int) -> np.ndarray:
     return pts
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one.
+
+    Parsing leaves the parser unchanged, so one instance serves every
+    :func:`main` call in a process.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--alpha", type=float, help="switch duration scale (time)")
     common.add_argument("--omega", type=float, help="base frequency")

@@ -72,6 +72,14 @@ class OscParams:
                 f"hbar^2 must be a finite normal double, got hbar={self.hbar!r} "
                 f"(hbar^2 = {self.hbar * self.hbar!r})"
             )
+        for name, scale in (("hbar/(2m)", self.hbar / (2.0 * self.m)),
+                            ("hbar*m/2", self.hbar * self.m / 2.0)):
+            # the position and momentum scales of every moment
+            if not sys.float_info.min <= scale < math.inf:
+                raise DomainError(
+                    f"{name} must be a finite normal double, got mass={self.m!r}, "
+                    f"hbar={self.hbar!r} ({name} = {scale!r})"
+                )
         if not (math.isfinite(self.omega) and self.omega > 0.0):
             raise DomainError(f"omega must be positive and finite, got {self.omega!r}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):

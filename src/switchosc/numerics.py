@@ -19,36 +19,158 @@ import numpy as np
 from .errors import DomainError, NoSignChange, RangeError, ToleranceNotMet
 from .frequency import OscParams
 
-# Dormand-Prince 5(4) pair.  The fifth-order solution is propagated; the
-# embedded fourth-order difference drives the step controller.  The last row
-# of _A equals _B5 (whose seventh weight is zero), so the seventh stage is
-# evaluated at the new state.  integrate_ode unpacks its coefficients from
-# these tuples.
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Dormand-Prince 8(5,3) pair of Hairer, Norsett & Wanner (Solving ODEs I,
+# sec. II.10, "DOP853"), with the coefficients of Hairer's dop853.f.  The
+# twelve stages sit at t + c_i*h; the last row of _A holds the eighth-order
+# weights, which give the propagated solution without a further evaluation.
+# _E5 and _E3 are the weights of the fifth- and third-order error estimates
+# that Hairer's norm combines.  _pair_step unpacks its coefficients from these
+# tuples and leaves out the terms whose weight is zero.
+_C = (
+    0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0,
+)
 _A = (
     (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0, 4.45031289275240888144113950566,
+     1.89151789931450038304281599044, -5.8012039600105847814672114227,
+     3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+     2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+_E5 = (
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0, -0.1225156446376204440720569753e1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+)
+# eighth-order weights less the third-order ones (bhh1, bhh2, bhh3 of dop853.f)
+_E3 = tuple(b - b3 for b, b3 in zip(_A[-1], (
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
+)))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
+def _make_pair_step():
+    """Build the step of one (position, velocity) pair from the tableau."""
+    (
+        _,
+        (a2_1,),
+        (a3_1, a3_2),
+        (a4_1, _, a4_3),
+        (a5_1, _, a5_3, a5_4),
+        (a6_1, _, _, a6_4, a6_5),
+        (a7_1, _, _, a7_4, a7_5, a7_6),
+        (a8_1, _, _, a8_4, a8_5, a8_6, a8_7),
+        (a9_1, _, _, a9_4, a9_5, a9_6, a9_7, a9_8),
+        (a10_1, _, _, a10_4, a10_5, a10_6, a10_7, a10_8, a10_9),
+        (a11_1, _, _, a11_4, a11_5, a11_6, a11_7, a11_8, a11_9, a11_10),
+        (a12_1, _, _, a12_4, a12_5, a12_6, a12_7, a12_8, a12_9, a12_10, a12_11),
+        (b1, _, _, _, _, b6, b7, b8, b9, b10, b11, b12),
+    ) = _A
+    p1, _, _, _, _, p6, p7, p8, p9, p10, p11, p12 = _E5
+    q1, _, _, _, _, q6, q7, q8, q9, q10, q11, q12 = _E3
+
+    def pair_step(x, u, h, g):
+        """One step of x' = u, u' = g*x, where ``g`` holds g at the twelve stages.
+
+        Stage i's input is (xi, ui), stage 1's the pair itself, and its
+        derivative is (ui, fi) with fi = gi*xi.  Each input is the pair plus
+        h*(0.0 + a_i1*k_1 + a_i2*k_2 + ...), summed left to right; a term whose
+        weight is zero is left out, which changes no bit, since no such sum is
+        ever -0.0.  Returns the new pair and, for x and then u, the fifth- and
+        third-order error sums, not yet multiplied by h.
+        """
+        g1, g2, g3, g4, g5, g6, g7, g8, g9, g10, g11, g12 = g
+        f1 = g1 * x
+        x2 = x + h * (0.0 + a2_1 * u)
+        u2 = u + h * (0.0 + a2_1 * f1)
+        f2 = g2 * x2
+        x3 = x + h * (0.0 + a3_1 * u + a3_2 * u2)
+        u3 = u + h * (0.0 + a3_1 * f1 + a3_2 * f2)
+        f3 = g3 * x3
+        x4 = x + h * (0.0 + a4_1 * u + a4_3 * u3)
+        u4 = u + h * (0.0 + a4_1 * f1 + a4_3 * f3)
+        f4 = g4 * x4
+        x5 = x + h * (0.0 + a5_1 * u + a5_3 * u3 + a5_4 * u4)
+        u5 = u + h * (0.0 + a5_1 * f1 + a5_3 * f3 + a5_4 * f4)
+        f5 = g5 * x5
+        x6 = x + h * (0.0 + a6_1 * u + a6_4 * u4 + a6_5 * u5)
+        u6 = u + h * (0.0 + a6_1 * f1 + a6_4 * f4 + a6_5 * f5)
+        f6 = g6 * x6
+        x7 = x + h * (0.0 + a7_1 * u + a7_4 * u4 + a7_5 * u5 + a7_6 * u6)
+        u7 = u + h * (0.0 + a7_1 * f1 + a7_4 * f4 + a7_5 * f5 + a7_6 * f6)
+        f7 = g7 * x7
+        x8 = x + h * (0.0 + a8_1 * u + a8_4 * u4 + a8_5 * u5 + a8_6 * u6 + a8_7 * u7)
+        u8 = u + h * (0.0 + a8_1 * f1 + a8_4 * f4 + a8_5 * f5 + a8_6 * f6 + a8_7 * f7)
+        f8 = g8 * x8
+        x9 = x + h * (0.0 + a9_1 * u + a9_4 * u4 + a9_5 * u5 + a9_6 * u6 + a9_7 * u7 + a9_8 * u8)
+        u9 = u + h * (0.0 + a9_1 * f1 + a9_4 * f4 + a9_5 * f5 + a9_6 * f6 + a9_7 * f7 + a9_8 * f8)
+        f9 = g9 * x9
+        x10 = x + h * (0.0 + a10_1 * u + a10_4 * u4 + a10_5 * u5 + a10_6 * u6 + a10_7 * u7 + a10_8 * u8 + a10_9 * u9)
+        u10 = u + h * (0.0 + a10_1 * f1 + a10_4 * f4 + a10_5 * f5 + a10_6 * f6 + a10_7 * f7 + a10_8 * f8 + a10_9 * f9)
+        f10 = g10 * x10
+        x11 = x + h * (0.0 + a11_1 * u + a11_4 * u4 + a11_5 * u5 + a11_6 * u6 + a11_7 * u7 + a11_8 * u8 + a11_9 * u9 + a11_10 * u10)
+        u11 = u + h * (0.0 + a11_1 * f1 + a11_4 * f4 + a11_5 * f5 + a11_6 * f6 + a11_7 * f7 + a11_8 * f8 + a11_9 * f9 + a11_10 * f10)
+        f11 = g11 * x11
+        x12 = x + h * (0.0 + a12_1 * u + a12_4 * u4 + a12_5 * u5 + a12_6 * u6 + a12_7 * u7 + a12_8 * u8 + a12_9 * u9 + a12_10 * u10 + a12_11 * u11)
+        u12 = u + h * (0.0 + a12_1 * f1 + a12_4 * f4 + a12_5 * f5 + a12_6 * f6 + a12_7 * f7 + a12_8 * f8 + a12_9 * f9 + a12_10 * f10 + a12_11 * f11)
+        f12 = g12 * x12
+        return (
+            x + h * (0.0 + b1 * u + b6 * u6 + b7 * u7 + b8 * u8 + b9 * u9 + b10 * u10 + b11 * u11 + b12 * u12),
+            u + h * (0.0 + b1 * f1 + b6 * f6 + b7 * f7 + b8 * f8 + b9 * f9 + b10 * f10 + b11 * f11 + b12 * f12),
+            0.0 + p1 * u + p6 * u6 + p7 * u7 + p8 * u8 + p9 * u9 + p10 * u10 + p11 * u11 + p12 * u12,
+            0.0 + q1 * u + q6 * u6 + q7 * u7 + q8 * u8 + q9 * u9 + q10 * u10 + q11 * u11 + q12 * u12,
+            0.0 + p1 * f1 + p6 * f6 + p7 * f7 + p8 * f8 + p9 * f9 + p10 * f10 + p11 * f11 + p12 * f12,
+            0.0 + q1 * f1 + q6 * f6 + q7 * f7 + q8 * f8 + q9 * f9 + q10 * f10 + q11 * f11 + q12 * f12,
+        )
+
+    return pair_step
+
+
+_pair_step = _make_pair_step()
+
+
 @dataclass(frozen=True)
 class IntegratorStats:
     """What one :func:`integrate_ode` call did.
 
-    ``rhs_calls`` is seven stage evaluations per attempted step, also where
-    a step outside the switch window reads Omega once; ``junction_stops``
+    ``rhs_calls`` is twelve stage evaluations per attempted step, one per
+    stage of the pair, also where a step outside the switch window reads
+    Omega once; ``junction_stops``
     counts the accepted steps that ended on a region junction placed among
     the stops (none when junctions are not forced).  ``min_step`` and
     ``max_step`` range over the accepted steps.
@@ -98,15 +220,15 @@ def integrate_ode(
 ) -> Trajectory:
     """Integrate eps'' + Omega(t)^2 * eps = 0 as a 4-dimensional real system.
 
-    Adaptive embedded Runge-Kutta with local error per step kept at ``tol``
-    (mixed absolute/relative scale).  Step boundaries are placed exactly on
-    the region junctions inside [t0, t1] — Omega^2 is continuous but not
-    smooth there — and exactly on every requested ``t_eval`` point, so no
-    interpolation is ever involved.  The inputs are validated once, here;
-    each step then runs on the four real state components as floats, reading
-    Omega(t) from ``p.omega_at``: once for a step that lies wholly before or
-    wholly after the switch window, where Omega is flat, and at each stage's
-    instant otherwise.
+    Adaptive Dormand-Prince 8(5,3) (DOP853) with local error per step kept
+    at ``tol`` (mixed absolute/relative scale).  Step boundaries are placed
+    exactly on the region junctions inside [t0, t1] — Omega^2 is continuous
+    but not smooth there — and exactly on every requested ``t_eval`` point,
+    so no interpolation is ever involved.  The inputs are validated once,
+    here; each step then runs on the real and on the imaginary (eps,
+    eps_dot) pair as floats, reading Omega(t) from ``p.omega_at``: once for a
+    step that lies wholly before or wholly after the switch window, where
+    Omega is flat, and at each stage's instant otherwise.
 
     Args:
         init: (eps, eps_dot) at ``t0``.
@@ -166,18 +288,7 @@ def integrate_ode(
         times.append(t0)
         states.append((x, y, u, v))
 
-    _, c2, c3, c4, c5, c6, c7 = _C
-    (
-        _,
-        (a21,),
-        (a31, a32),
-        (a41, a42, a43),
-        (a51, a52, a53, a54),
-        (a61, a62, a63, a64, a65),
-        (a71, a72, a73, a74, a75, a76),
-    ) = _A
-    e1, e2, e3, e4, e5, e6, e7 = _ERR
-
+    stage_c = _C[1:]
     t = t0
     h = fixed_step if fixed_step is not None else min((t1 - t0) / 64.0, stop_list[0] - t0)
     tiny = 16.0 * sys.float_info.epsilon
@@ -199,74 +310,50 @@ def integrate_ode(
         # every t + c_i*h since c_i <= 1), sees one flat Omega: read it once.
         if t > t_end or t + h_try < 0.0:
             w = omega(t)
-            g1 = g2 = g3 = g4 = g5 = g6 = g7 = -(w * w)
+            g = (-(w * w),) * 12
         else:
-            w1, w2, w3, w4, w5, w6, w7 = (
-                omega(t), omega(t + c2 * h_try), omega(t + c3 * h_try), omega(t + c4 * h_try),
-                omega(t + c5 * h_try), omega(t + c6 * h_try), omega(t + c7 * h_try),
-            )
-            g1, g2, g3, g4 = -(w1 * w1), -(w2 * w2), -(w3 * w3), -(w4 * w4)
-            g5, g6, g7 = -(w5 * w5), -(w6 * w6), -(w7 * w7)
-        # Seven stages.  Stage i's input is (xi, yi, ui, vi), stage 1's the
-        # state itself, and its derivative is (ui, vi, gi*xi, gi*yi).  Each
-        # input is the state plus h*(0.0 + a_i1*k_1 + a_i2*k_2 + ...), summed
-        # left to right; the seventh is the fifth-order solution.
-        gx1, gy1 = g1 * x, g1 * y
-        x2 = x + h_try * (0.0 + a21 * u)
-        y2 = y + h_try * (0.0 + a21 * v)
-        u2 = u + h_try * (0.0 + a21 * gx1)
-        v2 = v + h_try * (0.0 + a21 * gy1)
-        gx2, gy2 = g2 * x2, g2 * y2
-        x3 = x + h_try * (0.0 + a31 * u + a32 * u2)
-        y3 = y + h_try * (0.0 + a31 * v + a32 * v2)
-        u3 = u + h_try * (0.0 + a31 * gx1 + a32 * gx2)
-        v3 = v + h_try * (0.0 + a31 * gy1 + a32 * gy2)
-        gx3, gy3 = g3 * x3, g3 * y3
-        x4 = x + h_try * (0.0 + a41 * u + a42 * u2 + a43 * u3)
-        y4 = y + h_try * (0.0 + a41 * v + a42 * v2 + a43 * v3)
-        u4 = u + h_try * (0.0 + a41 * gx1 + a42 * gx2 + a43 * gx3)
-        v4 = v + h_try * (0.0 + a41 * gy1 + a42 * gy2 + a43 * gy3)
-        gx4, gy4 = g4 * x4, g4 * y4
-        x5 = x + h_try * (0.0 + a51 * u + a52 * u2 + a53 * u3 + a54 * u4)
-        y5 = y + h_try * (0.0 + a51 * v + a52 * v2 + a53 * v3 + a54 * v4)
-        u5 = u + h_try * (0.0 + a51 * gx1 + a52 * gx2 + a53 * gx3 + a54 * gx4)
-        v5 = v + h_try * (0.0 + a51 * gy1 + a52 * gy2 + a53 * gy3 + a54 * gy4)
-        gx5, gy5 = g5 * x5, g5 * y5
-        x6 = x + h_try * (0.0 + a61 * u + a62 * u2 + a63 * u3 + a64 * u4 + a65 * u5)
-        y6 = y + h_try * (0.0 + a61 * v + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
-        u6 = u + h_try * (0.0 + a61 * gx1 + a62 * gx2 + a63 * gx3 + a64 * gx4 + a65 * gx5)
-        v6 = v + h_try * (0.0 + a61 * gy1 + a62 * gy2 + a63 * gy3 + a64 * gy4 + a65 * gy5)
-        gx6, gy6 = g6 * x6, g6 * y6
-        x7 = x + h_try * (0.0 + a71 * u + a72 * u2 + a73 * u3 + a74 * u4 + a75 * u5 + a76 * u6)
-        y7 = y + h_try * (0.0 + a71 * v + a72 * v2 + a73 * v3 + a74 * v4 + a75 * v5 + a76 * v6)
-        u7 = u + h_try * (0.0 + a71 * gx1 + a72 * gx2 + a73 * gx3 + a74 * gx4 + a75 * gx5 + a76 * gx6)
-        v7 = v + h_try * (0.0 + a71 * gy1 + a72 * gy2 + a73 * gy3 + a74 * gy4 + a75 * gy5 + a76 * gy6)
-        gx7, gy7 = g7 * x7, g7 * y7
-        rhs_calls += 7
+            ws = [omega(t)] + [omega(t + c * h_try) for c in stage_c]
+            g = [-(w * w) for w in ws]
+        # the real and the imaginary part share the stages' g
+        x_new, u_new, ex5, ex3, eu5, eu3 = _pair_step(x, u, h_try, g)
+        y_new, v_new, ey5, ey3, ev5, ev3 = _pair_step(y, v, h_try, g)
+        rhs_calls += 12
         if fixed_step is None:
             # budget each step a decade below the requested tolerance so the
             # accumulated drift of conserved quantities stays within a few tol.
-            # The error norm is the root mean square of the four components of
-            # the error estimate, each measured against budget * (1 + the
-            # larger magnitude of that component before and after the step).
-            ex = 0.0 + h_try * (0.0 + e1 * u + e2 * u2 + e3 * u3 + e4 * u4 + e5 * u5 + e6 * u6 + e7 * u7)
-            ey = 0.0 + h_try * (0.0 + e1 * v + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v7)
-            eu = 0.0 + h_try * (0.0 + e1 * gx1 + e2 * gx2 + e3 * gx3 + e4 * gx4 + e5 * gx5 + e6 * gx6 + e7 * gx7)
-            ev = 0.0 + h_try * (0.0 + e1 * gy1 + e2 * gy2 + e3 * gy3 + e4 * gy4 + e5 * gy5 + e6 * gy6 + e7 * gy7)
-            s0, s1 = abs(x), abs(x7)
-            ex /= budget * (1.0 + (s1 if s1 > s0 else s0))
-            s0, s1 = abs(y), abs(y7)
-            ey /= budget * (1.0 + (s1 if s1 > s0 else s0))
-            s0, s1 = abs(u), abs(u7)
-            eu /= budget * (1.0 + (s1 if s1 > s0 else s0))
-            s0, s1 = abs(v), abs(v7)
-            ev /= budget * (1.0 + (s1 if s1 > s0 else s0))
-            err_norm = math.sqrt((ex * ex + ey * ey + eu * eu + ev * ev) / 4.0)
+            # Each component's error sums are measured against budget * (1 +
+            # the larger magnitude of that component before and after the
+            # step), then combined by Hairer's norm
+            #   h * S5 / sqrt(4 * (S5 + 0.01 * S3)),
+            # S5 and S3 being the sums of squares of the fifth- and
+            # third-order estimates over the four components.
+            s0, s1 = abs(x), abs(x_new)
+            sc = budget * (1.0 + (s1 if s1 > s0 else s0))
+            ex5 /= sc
+            ex3 /= sc
+            s0, s1 = abs(y), abs(y_new)
+            sc = budget * (1.0 + (s1 if s1 > s0 else s0))
+            ey5 /= sc
+            ey3 /= sc
+            s0, s1 = abs(u), abs(u_new)
+            sc = budget * (1.0 + (s1 if s1 > s0 else s0))
+            eu5 /= sc
+            eu3 /= sc
+            s0, s1 = abs(v), abs(v_new)
+            sc = budget * (1.0 + (s1 if s1 > s0 else s0))
+            ev5 /= sc
+            ev3 /= sc
+            sum5 = ex5 * ex5 + ey5 * ey5 + eu5 * eu5 + ev5 * ev5
+            sum3 = ex3 * ex3 + ey3 * ey3 + eu3 * eu3 + ev3 * ev3
+            if sum5 == 0.0 and sum3 == 0.0:
+                err_norm = 0.0
+            else:
+                err_norm = h_try * sum5 / math.sqrt(4.0 * (sum5 + 0.01 * sum3))
         else:
             err_norm = 0.0
         if err_norm <= 1.0:
             t = stop if hit else t + h_try
-            x, y, u, v = x7, y7, u7, v7
+            x, y, u, v = x_new, y_new, u_new, v_new
             accepted += 1
             if h_try < min_step:
                 min_step = h_try
@@ -278,10 +365,10 @@ def integrate_ode(
                 times.append(t)
                 states.append((x, y, u, v))
             if fixed_step is None:
-                grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.2
+                grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.125
                 h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))
         else:
-            h = h_try * max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
+            h = h_try * max(_MIN_FACTOR, _SAFETY * err_norm**-0.125)
             if h < tiny * max(1.0, abs(t)):
                 raise ToleranceNotMet(f"step size underflow at t={t!r} (tol={tol!r})")
         steps += 1

@@ -12,7 +12,7 @@ import pytest
 
 import switchosc
 from switchosc import OscParams, conserved_pair, epsilon, first_moments, omega_of, second_moments
-from switchosc.cli import main
+from switchosc.cli import _build_parser, main
 
 FIG_Q0 = 1.7320508075688772  # sqrt(3)
 
@@ -251,6 +251,10 @@ class TestOutOfDomainArguments:
         # hbar^2 underflows to zero or overflows to infinity
         (["wigner", "--hbar", "1e-300", "--grid-n", "16"], "hbar"),
         (["moments", "--hbar", "1e200", "--samples", "3"], "hbar"),
+        # hbar/(2m) or hbar*m/2 overflows: the moments would be inf
+        (["moments", "--mass", "1e-320", "--samples", "3"], "hbar/(2m)"),
+        (["wigner", "--mass", "1e-320", "--grid-n", "16"], "hbar/(2m)"),
+        (["moments", "--mass", "1e300", "--hbar", "1e10", "--samples", "3"], "hbar*m/2"),
     ])
     def test_derived_constants_must_be_finite_normal_doubles(self, capsys, argv, names):
         code, out, err = run(capsys, *argv)
@@ -396,6 +400,26 @@ class TestEntryPoints:
 
     def test_help_exits_cleanly(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_one_parser_serves_every_call_as_a_fresh_one_would(self, capsys):
+        argvs = [
+            ["epsilon", "--samples", "three"],  # usage error, exit 2
+            ["epsilon", "--samples", "3", "--t0", "0", "--t1", "1"],
+            ["--help"],
+            ["moments", "--samples", "3", "--format", "json"],
+            ["profile", "--samples", "2", "--bogus"],  # usage error, exit 2
+            ["profile", "--samples", "2", "--t0", "0", "--t1", "1"],
+        ]
+        fresh = []
+        for argv in argvs:
+            _build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        parser = _build_parser()
+        # twice through the list on the one cached parser
+        shared = [run(capsys, *argv) for argv in argvs + argvs]
+        assert _build_parser() is parser
+        assert shared == fresh + fresh
+        assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 2, 0]
 
     def test_module_execution(self):
         # the child imports the same switchosc as this process, installed or not

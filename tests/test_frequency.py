@@ -7,6 +7,7 @@ asserted here:
 """
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -90,6 +91,21 @@ class TestValidation:
     @pytest.mark.parametrize("hbar", [1.5e-154, 1e-150, 1e150, 1.3e154])
     def test_hbar_with_a_normal_square_accepted(self, hbar):
         assert OscParams(hbar=hbar).hbar == hbar
+
+    @pytest.mark.parametrize("m, hbar, name", [
+        (1e-320, 1.0, "hbar/(2m)"),  # overflows to inf
+        (1e308, 1.0, "hbar/(2m)"),  # 2m overflows, so the quotient is 0.0
+        (1e300, 1e-10, "hbar/(2m)"),  # subnormal
+        (1e300, 1e10, "hbar*m/2"),  # overflows to inf
+        (1e-300, 1e-10, "hbar*m/2"),  # subnormal
+    ])
+    def test_mass_scales_must_be_finite_normal_doubles(self, m, hbar, name):
+        with pytest.raises(DomainError, match=re.escape(name)):
+            OscParams(m=m, hbar=hbar)
+
+    @pytest.mark.parametrize("m", [1e-300, 1e300])
+    def test_extreme_mass_with_normal_scales_accepted(self, m):
+        assert OscParams(m=m).m == m
 
     @pytest.mark.parametrize("alpha", [0.0, 1e300])
     def test_first_non_finite_derived_constant_is_named(self, alpha):

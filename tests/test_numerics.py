@@ -30,7 +30,8 @@ from switchosc.classical import envelope_of
 from switchosc.numerics import (
     _A,
     _C,
-    _ERR,
+    _E3,
+    _E5,
     _MAX_FACTOR,
     _MIN_FACTOR,
     _SAFETY,
@@ -42,6 +43,7 @@ from reference_numerics import scalar_find_root, second_derivative
 
 FIG = OscParams()
 FLAT = OscParams(alpha=0.0)
+EPS = sys.float_info.epsilon
 
 
 def _circle_error(tol: float, fixed_step: float | None = None) -> float:
@@ -73,9 +75,9 @@ class TestIntegrator:
         assert errors[-1] < errors[0]
 
     def test_fixed_step_order(self):
-        # propagated solution is fifth order: halving h gains about 2^5
-        ratio = _circle_error(1e-6, fixed_step=0.2) / _circle_error(1e-6, fixed_step=0.1)
-        assert 16.0 < ratio < 64.0
+        # propagated solution is eighth order: halving h gains about 2^8
+        ratio = _circle_error(1e-6, fixed_step=0.8) / _circle_error(1e-6, fixed_step=0.4)
+        assert 128.0 < ratio < 512.0
 
     def test_junction_forcing_changes_nothing_measurable(self):
         tol = 1e-9
@@ -149,7 +151,7 @@ class TestIntegratorStats:
         traj = integrate_ode(FIG, -5.0, 10.0, (1.0 + 0j, 1j), 1e-11)
         stats = traj.stats
         assert stats.rejected > 0
-        assert stats.rhs_calls == 7 * (stats.accepted + stats.rejected)
+        assert stats.rhs_calls == 12 * (stats.accepted + stats.rejected)
         assert stats.accepted == len(traj.times) - 1
         steps = np.diff(traj.times)
         assert stats.min_step == pytest.approx(steps.min(), rel=1e-9)
@@ -165,39 +167,75 @@ class TestIntegratorStats:
 
     def test_fixed_step_rejects_nothing(self):
         stats = integrate_ode(FLAT, 0.0, 1.0, (1.0 + 0j, 1j), 1e-6, fixed_step=0.3).stats
-        assert (stats.accepted, stats.rejected, stats.rhs_calls) == (4, 0, 28)
+        assert (stats.accepted, stats.rejected, stats.rhs_calls) == (4, 0, 48)
         assert stats.max_step == 0.3
         assert stats.min_step == pytest.approx(0.1, abs=1e-12)
 
 
-def _error_norm(err: tuple, y: tuple, y_new: tuple, budget: float) -> float:
-    # root mean square of the four error components, each measured against
-    # budget * (1 + the larger magnitude of that component before and after)
-    e0, e1, e2, e3 = err
-    a0, a1, a2, a3 = y
-    b0, b1, b2, b3 = y_new
-    q0 = e0 / (budget * (1.0 + max(abs(a0), abs(b0))))
-    q1 = e1 / (budget * (1.0 + max(abs(a1), abs(b1))))
-    q2 = e2 / (budget * (1.0 + max(abs(a2), abs(b2))))
-    q3 = e3 / (budget * (1.0 + max(abs(a3), abs(b3))))
-    return math.sqrt((q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) / 4.0)
+class TestTableau:
+    """The DOP853 coefficients satisfy the conditions that define the pair.
+
+    Each condition holds to the rounding of the coefficients to doubles: the
+    residual stays below one epsilon per unit of the summed magnitudes (k of
+    them for the k-th power of c).
+    """
+
+    def test_shapes(self):
+        assert len(_C) == len(_E5) == len(_E3) == 12
+        assert [len(row) for row in _A] == list(range(13))
+
+    @pytest.mark.parametrize("i", range(1, 12))
+    def test_row_sums_are_the_stage_instants(self, i):
+        residual = math.fsum(_A[i]) - _C[i]
+        assert abs(residual) <= EPS * (math.fsum(map(abs, _A[i])) + _C[i])
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_weights_integrate_polynomials_of_degree_seven(self, k):
+        # sum_i b_i c_i^(k-1) = 1/k for k = 1..8
+        terms = [b * c ** (k - 1) for b, c in zip(_A[-1], _C)]
+        assert abs(math.fsum(terms) - 1.0 / k) <= k * EPS * math.fsum(map(abs, terms))
+
+    @pytest.mark.parametrize("weights", [_E5, _E3], ids=["E5", "E3"])
+    def test_error_weights_sum_to_zero(self, weights):
+        assert abs(math.fsum(weights)) <= EPS * math.fsum(map(abs, weights))
 
 
-def _combine(y, h, coeffs, ks):
+def _weighted(coeffs, ks):
+    # each component of 0.0 + a_1*k_1 + a_2*k_2 + ..., summed left to right
     s0 = s1 = s2 = s3 = 0.0
     for a, (k0, k1, k2, k3) in zip(coeffs, ks):
         s0 += a * k0
         s1 += a * k1
         s2 += a * k2
         s3 += a * k3
-    return y[0] + h * s0, y[1] + h * s1, y[2] + h * s2, y[3] + h * s3
+    return s0, s1, s2, s3
+
+
+def _combine(y, h, coeffs, ks):
+    s = _weighted(coeffs, ks)
+    return y[0] + h * s[0], y[1] + h * s[1], y[2] + h * s[2], y[3] + h * s[3]
+
+
+def _error_norm(h: float, ks: list, y: tuple, y_new: tuple, budget: float) -> float:
+    # Hairer's norm h * S5 / sqrt(4 * (S5 + 0.01 * S3)), where S5 and S3 sum
+    # the squares of the fifth- and third-order estimates, each component
+    # measured against budget * (1 + its larger magnitude before and after)
+    scales = [budget * (1.0 + max(abs(a), abs(b))) for a, b in zip(y, y_new)]
+    q5 = [e / sc for e, sc in zip(_weighted(_E5, ks), scales)]
+    q3 = [e / sc for e, sc in zip(_weighted(_E3, ks), scales)]
+    sum5 = q5[0] * q5[0] + q5[1] * q5[1] + q5[2] * q5[2] + q5[3] * q5[3]
+    sum3 = q3[0] * q3[0] + q3[1] * q3[1] + q3[2] * q3[2] + q3[3] * q3[3]
+    if sum5 == 0.0 and sum3 == 0.0:
+        return 0.0
+    return h * sum5 / math.sqrt(4.0 * (sum5 + 0.01 * sum3))
 
 
 def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, force_junctions=True, fixed_step=None):
-    """The Dormand-Prince step as a loop over the tableau, reading Omega through omega_of.
+    """The DOP853 step as a loop over the tableau, reading Omega through omega_of.
 
-    Same stops, controller and stage order as integrate_ode; returns
-    (times, states, stats) for a bit-for-bit comparison.
+    Every stage sum runs over the whole row, zero weights included.  Same
+    stops, controller and stage order as integrate_ode; returns (times,
+    states, stats) for a bit-for-bit comparison.
     """
 
     def rhs(t, y):
@@ -226,14 +264,11 @@ def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, force_junctions=True, 
         stop = stop_list[si]
         h_try, hit = (h, False) if h < stop - t else (stop - t, True)
         ks = [rhs(t, y)]
-        for c, a in zip(_C[1:], _A[1:]):
-            y_new = _combine(y, h_try, a, ks)
-            ks.append(rhs(t + c * h_try, y_new))
+        for c, a in zip(_C[1:], _A[1:-1]):
+            ks.append(rhs(t + c * h_try, _combine(y, h_try, a, ks)))
+        y_new = _combine(y, h_try, _A[-1], ks)
         rhs_calls += len(ks)
-        err_norm = 0.0
-        if fixed_step is None:
-            err = _combine((0.0, 0.0, 0.0, 0.0), h_try, _ERR, ks)
-            err_norm = _error_norm(err, y, y_new, 0.1 * tol)
+        err_norm = 0.0 if fixed_step is not None else _error_norm(h_try, ks, y, y_new, 0.1 * tol)
         if err_norm <= 1.0:
             t = stop if hit else t + h_try
             y = y_new
@@ -244,10 +279,10 @@ def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, force_junctions=True, 
                 times.append(t)
                 states.append(y)
             if fixed_step is None:
-                grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.2
+                grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.125
                 h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))
         else:
-            h = h_try * max(_MIN_FACTOR, _SAFETY * err_norm**-0.2)
+            h = h_try * max(_MIN_FACTOR, _SAFETY * err_norm**-0.125)
             assert h >= 16.0 * sys.float_info.epsilon * max(1.0, abs(t))
         steps += 1
     raw = np.array(states, dtype=float).reshape(len(states), 4)
@@ -315,9 +350,9 @@ class TestKernelMatchesLoopReference:
         p = OscParams(alpha=0.97)
         _assert_matches_loop_reference(p, p.switch_end, p.switch_end + 5.0, self.START, 1e-11)
 
-    def test_step_enters_the_window_after_its_fifth_stage(self):
-        # the first step spans [-0.95, 0.05]: its stages up to t + (8/9)*h lie
-        # before the window, its last two inside it
+    def test_step_enters_the_window_at_its_last_stage(self):
+        # the first step spans [-0.95, 0.05]: its stages up to t + (6/7)*h lie
+        # before the window, its last (c = 1) inside it
         _assert_matches_loop_reference(OscParams(alpha=0.97), -0.95, 3.05, self.START, 1e-6,
                                        fixed_step=1.0, force_junctions=False)
 
