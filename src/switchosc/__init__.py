@@ -10,7 +10,6 @@ every closed form.
 
 from .classical import (
     ClassicalAmplitude,
-    Envelope,
     amplitude,
     envelope,
     epsilon,
@@ -25,7 +24,7 @@ from .errors import (
     SwitchOscError,
     ToleranceNotMet,
 )
-from .frequency import OscParams, QuadraticCoefficients, hamiltonian_coefficients, omega_of, omega_profile
+from .frequency import OscParams, omega_of, omega_profile
 from .numerics import Trajectory, derivative, find_root, integrate_ode, quadrature
 from .quantum import (
     CoherenceEvent,
@@ -36,8 +35,6 @@ from .quantum import (
     coherence_scan,
     conserved_pair,
     first_moments,
-    general_first_moments,
-    general_second_moments,
     invariant_coefficients,
     second_moments,
 )
@@ -51,13 +48,11 @@ __all__ = [
     "CoherenceScanResult",
     "CovarianceState",
     "DomainError",
-    "Envelope",
     "FirstMoments",
     "InvariantCoefficients",
     "NoSignChange",
     "NotNormalized",
     "OscParams",
-    "QuadraticCoefficients",
     "RangeError",
     "SwitchOscError",
     "ToleranceNotMet",
@@ -71,13 +66,10 @@ __all__ = [
     "epsilon",
     "find_root",
     "first_moments",
-    "general_first_moments",
-    "general_second_moments",
     "grid_integral",
     "grid_moments",
     "grid_to_csv",
     "grid_to_json",
-    "hamiltonian_coefficients",
     "integrate_ode",
     "invariant_coefficients",
     "omega_of",

@@ -51,14 +51,6 @@ class ClassicalAmplitude:
     eps_dot: complex
 
 
-@dataclass(frozen=True)
-class Envelope:
-    """Modulus r = |eps| and its time derivative."""
-
-    r: float
-    r_dot: float
-
-
 def phase_integral(t: float, p: OscParams) -> float:
     """Accumulated phase int_0^t ds / (1/omega + alpha*cos(omega*s)^2).
 
@@ -195,8 +187,7 @@ def envelope_of(eps, eps_dot):
     return r, (eps.real * eps_dot.real + eps.imag * eps_dot.imag) / r
 
 
-def envelope(t: float, p: OscParams) -> Envelope:
-    """Modulus of the amplitude and its analytic slope (no finite differencing)."""
+def envelope(t: float, p: OscParams) -> tuple[float, float]:
+    """(r, r_dot) at ``t``: the amplitude's modulus and its analytic slope (no finite differencing)."""
     amp = epsilon(t, p)
-    r, r_dot = envelope_of(amp.eps, amp.eps_dot)
-    return Envelope(r=r, r_dot=r_dot)
+    return envelope_of(amp.eps, amp.eps_dot)

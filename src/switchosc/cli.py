@@ -30,6 +30,9 @@ from .wigner import format_float, grid_integral, grid_to_csv, grid_to_json, wign
 _FLOAT_KEYS = {"alpha", "omega", "mass", "hbar", "z_re", "z_im", "t0", "t1", "t", "n_sigma"}
 _INT_KEYS = {"samples", "grid_n"}
 _STR_KEYS = {"format", "out"}
+# size caps, checked before anything is allocated
+MAX_SAMPLES = 1_000_001
+MAX_GRID_N = 2048
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--z-im", type=float, dest="z_im", help="Im of the state label z")
     common.add_argument("--t0", type=float, help="start of the time range")
     common.add_argument("--t1", type=float, help="end of the time range")
-    common.add_argument("--samples", type=int, help="number of uniform samples (>= 2)")
+    common.add_argument("--samples", type=int, help=f"number of uniform samples (2 to {MAX_SAMPLES})")
     common.add_argument("--format", choices=("csv", "json"), dest="fmt", help="output format")
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--config", help="key=value config file; flags override it")
@@ -91,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n-sigma", type=float, dest="n_sigma",
                         help="grid half-width in standard deviations (>= 3)")
     common.add_argument("--grid-n", type=int, dest="grid_n",
-                        help="grid points per axis (>= 16)")
+                        help=f"grid points per axis (16 to {MAX_GRID_N})")
 
     parser = argparse.ArgumentParser(
         prog="switchosc",
@@ -163,6 +166,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     samples = int(_pick(args.samples, file_vals, "samples", 601))
     if samples < 2:
         raise DomainError(f"samples must be at least 2, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise DomainError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     t0 = _pick(args.t0, file_vals, "t0", None)
     t1 = _pick(args.t1, file_vals, "t1", None)
     if args.command == "coherence":
@@ -181,6 +186,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             t1 = 10.0
     if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
         raise DomainError(f"need finite t0 < t1, got t0={t0!r}, t1={t1!r}")
+    if not math.isfinite(t1 - t0):
+        raise DomainError(f"window length t1 - t0 must be finite, got t0={t0!r}, t1={t1!r}")
     t = _pick(args.t, file_vals, "t", 0.0)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
@@ -190,6 +197,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         raise DomainError(f"n_sigma must be finite and at least 3, got {n_sigma!r}")
     if grid_n < 16:
         raise DomainError(f"grid_n must be at least 16, got {grid_n}")
+    if grid_n > MAX_GRID_N:
+        raise DomainError(f"grid_n must be at most {MAX_GRID_N}, got {grid_n}")
     return RunConfig(command=args.command, params=params, z=z, t0=float(t0), t1=float(t1),
                      samples=samples, fmt=fmt, out=out, t=float(t),
                      n_sigma=float(n_sigma), grid_n=grid_n)
@@ -519,7 +528,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return _COMMANDS[cfg.command](cfg)
-    except SwitchOscError as exc:
+    except (SwitchOscError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Piecewise switched frequency of the oscillator and its Hamiltonian coefficients.
+"""Piecewise switched frequency Omega(t) of H = p^2/(2m) + m*Omega(t)^2*q^2/2.
 
 The frequency is constant in the past, decreases smoothly over the window
 [0, pi/(2*omega)], and is constant (and lower) afterwards.  :class:`OscParams`
@@ -130,16 +130,6 @@ class OscParams:
         return self.final_frequency
 
 
-@dataclass(frozen=True)
-class QuadraticCoefficients:
-    """Coefficients of a quadratic Hamiltonian a*p^2 + b*(pq+qp) + c*q^2."""
-
-    a: float
-    b: float
-    c: float
-    a_dot: float = 0.0
-
-
 def region_masks(ts, p: OscParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``ts`` as a float array with its masks before and after the window.
 
@@ -229,9 +219,3 @@ def omega_profile(ts, p: OscParams) -> np.ndarray:
     t, before, after = region_masks(ts, p)
     c = np.where(before, 1.0, np.where(after, 0.0, np.cos(p.omega * t)))
     return _omega_from_cos(c, p, ARRAY)
-
-
-def hamiltonian_coefficients(t: float, p: OscParams) -> QuadraticCoefficients:
-    """Coefficients of this oscillator's Hamiltonian: (1/(2m), 0, m*Omega^2/2)."""
-    w = omega_of(t, p)
-    return QuadraticCoefficients(a=1.0 / (2.0 * p.m), b=0.0, c=0.5 * p.m * w * w, a_dot=0.0)

@@ -170,10 +170,9 @@ class IntegratorStats:
 
     ``rhs_calls`` is twelve stage evaluations per attempted step, one per
     stage of the pair, also where a step outside the switch window reads
-    Omega once; ``junction_stops``
-    counts the accepted steps that ended on a region junction placed among
-    the stops (none when junctions are not forced).  ``min_step`` and
-    ``max_step`` range over the accepted steps.
+    Omega once; ``junction_stops`` counts the accepted steps that ended on a
+    region junction.  ``min_step`` and ``max_step`` range over the accepted
+    steps.
     """
 
     accepted: int
@@ -214,8 +213,6 @@ def integrate_ode(
     tol: float,
     *,
     t_eval: Sequence[float] | None = None,
-    force_junctions: bool = True,
-    fixed_step: float | None = None,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate eps'' + Omega(t)^2 * eps = 0 as a 4-dimensional real system.
@@ -234,14 +231,10 @@ def integrate_ode(
         init: (eps, eps_dot) at ``t0``.
         t_eval: when given, the trajectory records exactly these times
             (plus ``t0`` if present); otherwise every accepted step.
-        force_junctions: disable to measure the cost of stepping blindly
-            across the junctions.
-        fixed_step: bypass the controller and march with this step instead
-            (reproducibility fallback; no error estimate).
 
     Raises:
-        DomainError: if ``tol``, ``fixed_step`` or ``max_steps`` is invalid,
-            or a time or initial value is not finite.
+        DomainError: if ``tol`` or ``max_steps`` is invalid, or a time or
+            initial value is not finite.
         RangeError: if a ``t_eval`` point lies outside [t0, t1].
         ToleranceNotMet: if the step size underflows or the step budget
             is exhausted.
@@ -253,8 +246,6 @@ def integrate_ode(
         raise DomainError(f"t0 and t1 must be finite, got [{t0!r}, {t1!r}]")
     if not t1 > t0:
         raise DomainError(f"need t1 > t0, got [{t0!r}, {t1!r}]")
-    if fixed_step is not None and not fixed_step > 0.0:
-        raise DomainError(f"fixed_step must be positive, got {fixed_step!r}")
     if not (isinstance(max_steps, int) and max_steps >= 1):
         raise DomainError(f"max_steps must be an int of at least 1, got {max_steps!r}")
     eps0, eps_dot0 = complex(init[0]), complex(init[1])
@@ -275,10 +266,8 @@ def integrate_ode(
             raise RangeError("t_eval points must lie within [t0, t1]")
         eval_set = set(pts)
         stops.update(te for te in pts if te > t0)
-    junctions: set[float] = set()
-    if force_junctions:
-        junctions = {tj for tj in (0.0, p.switch_end) if t0 < tj < t1}
-        stops.update(junctions)
+    junctions = {tj for tj in (0.0, p.switch_end) if t0 < tj < t1}
+    stops.update(junctions)
     stop_list = sorted(stops)
 
     record_all = t_eval is None
@@ -290,7 +279,7 @@ def integrate_ode(
 
     stage_c = _C[1:]
     t = t0
-    h = fixed_step if fixed_step is not None else min((t1 - t0) / 64.0, stop_list[0] - t0)
+    h = min((t1 - t0) / 64.0, stop_list[0] - t0)
     tiny = 16.0 * sys.float_info.epsilon
     budget = 0.1 * tol
     si = 0
@@ -318,39 +307,36 @@ def integrate_ode(
         x_new, u_new, ex5, ex3, eu5, eu3 = _pair_step(x, u, h_try, g)
         y_new, v_new, ey5, ey3, ev5, ev3 = _pair_step(y, v, h_try, g)
         rhs_calls += 12
-        if fixed_step is None:
-            # budget each step a decade below the requested tolerance so the
-            # accumulated drift of conserved quantities stays within a few tol.
-            # Each component's error sums are measured against budget * (1 +
-            # the larger magnitude of that component before and after the
-            # step), then combined by Hairer's norm
-            #   h * S5 / sqrt(4 * (S5 + 0.01 * S3)),
-            # S5 and S3 being the sums of squares of the fifth- and
-            # third-order estimates over the four components.
-            s0, s1 = abs(x), abs(x_new)
-            sc = budget * (1.0 + (s1 if s1 > s0 else s0))
-            ex5 /= sc
-            ex3 /= sc
-            s0, s1 = abs(y), abs(y_new)
-            sc = budget * (1.0 + (s1 if s1 > s0 else s0))
-            ey5 /= sc
-            ey3 /= sc
-            s0, s1 = abs(u), abs(u_new)
-            sc = budget * (1.0 + (s1 if s1 > s0 else s0))
-            eu5 /= sc
-            eu3 /= sc
-            s0, s1 = abs(v), abs(v_new)
-            sc = budget * (1.0 + (s1 if s1 > s0 else s0))
-            ev5 /= sc
-            ev3 /= sc
-            sum5 = ex5 * ex5 + ey5 * ey5 + eu5 * eu5 + ev5 * ev5
-            sum3 = ex3 * ex3 + ey3 * ey3 + eu3 * eu3 + ev3 * ev3
-            if sum5 == 0.0 and sum3 == 0.0:
-                err_norm = 0.0
-            else:
-                err_norm = h_try * sum5 / math.sqrt(4.0 * (sum5 + 0.01 * sum3))
-        else:
+        # budget each step a decade below the requested tolerance so the
+        # accumulated drift of conserved quantities stays within a few tol.
+        # Each component's error sums are measured against budget * (1 +
+        # the larger magnitude of that component before and after the
+        # step), then combined by Hairer's norm
+        #   h * S5 / sqrt(4 * (S5 + 0.01 * S3)),
+        # S5 and S3 being the sums of squares of the fifth- and
+        # third-order estimates over the four components.
+        s0, s1 = abs(x), abs(x_new)
+        sc = budget * (1.0 + (s1 if s1 > s0 else s0))
+        ex5 /= sc
+        ex3 /= sc
+        s0, s1 = abs(y), abs(y_new)
+        sc = budget * (1.0 + (s1 if s1 > s0 else s0))
+        ey5 /= sc
+        ey3 /= sc
+        s0, s1 = abs(u), abs(u_new)
+        sc = budget * (1.0 + (s1 if s1 > s0 else s0))
+        eu5 /= sc
+        eu3 /= sc
+        s0, s1 = abs(v), abs(v_new)
+        sc = budget * (1.0 + (s1 if s1 > s0 else s0))
+        ev5 /= sc
+        ev3 /= sc
+        sum5 = ex5 * ex5 + ey5 * ey5 + eu5 * eu5 + ev5 * ev5
+        sum3 = ex3 * ex3 + ey3 * ey3 + eu3 * eu3 + ev3 * ev3
+        if sum5 == 0.0 and sum3 == 0.0:
             err_norm = 0.0
+        else:
+            err_norm = h_try * sum5 / math.sqrt(4.0 * (sum5 + 0.01 * sum3))
         if err_norm <= 1.0:
             t = stop if hit else t + h_try
             x, y, u, v = x_new, y_new, u_new, v_new
@@ -364,9 +350,8 @@ def integrate_ode(
             if record_all or t in eval_set:
                 times.append(t)
                 states.append((x, y, u, v))
-            if fixed_step is None:
-                grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.125
-                h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))
+            grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.125
+            h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))
         else:
             h = h_try * max(_MIN_FACTOR, _SAFETY * err_norm**-0.125)
             if h < tiny * max(1.0, abs(t)):

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalAmplitude, amplitude, envelope_of, epsilon
-from .errors import DomainError, RangeError
-from .frequency import OscParams, QuadraticCoefficients, omega_of
+from .classical import amplitude, envelope_of, epsilon
+from .errors import RangeError
+from .frequency import OscParams, omega_of
 from .numerics import RootStats, find_root
 
 # the stats of a scan that polished no bracket
@@ -128,21 +128,6 @@ def first_moments(z: complex, t: float, p: OscParams) -> FirstMoments:
     return FirstMoments(q_mean=q_mean, p_mean=p_mean)
 
 
-def general_first_moments(z: complex, amp: ClassicalAmplitude,
-                          coeffs: QuadraticCoefficients, hbar: float) -> FirstMoments:
-    """First moments for a general quadratic Hamiltonian (a, b, a_dot terms).
-
-    Specializing to (a=1/2m, b=0, a_dot=0) reproduces :func:`first_moments`.
-    """
-    if not coeffs.a > 0.0:
-        raise DomainError(f"coefficient a must be positive, got {coeffs.a!r}")
-    zz = complex(z)
-    q_mean = math.sqrt(hbar * coeffs.a) * 2.0 * (amp.eps * zz.conjugate()).real
-    inner = coeffs.b * amp.eps - 0.5 * amp.eps_dot - 0.25 * (coeffs.a_dot / coeffs.a) * amp.eps
-    p_mean = -math.sqrt(hbar / coeffs.a) * 2.0 * (inner * zz.conjugate()).real
-    return FirstMoments(q_mean=q_mean, p_mean=p_mean)
-
-
 def conserved_pair_of(z: complex, eps, eps_dot, p: OscParams):
     """(Q0, P0) of the state labeled ``z`` from the amplitude (eps, eps_dot).
 
@@ -179,25 +164,6 @@ def second_moments(t: float, p: OscParams) -> CovarianceState:
     """The three second moments at time ``t``."""
     amp = epsilon(t, p)
     sq2, sp2, cqp = second_moments_of(amp.eps, amp.eps_dot, p)
-    return CovarianceState(sq2=sq2, sp2=sp2, cqp=cqp)
-
-
-def general_second_moments(amp: ClassicalAmplitude, coeffs: QuadraticCoefficients,
-                           hbar: float) -> CovarianceState:
-    """Second moments for a general quadratic Hamiltonian.
-
-    The shared inner term is b*r - r_dot/2 - (a_dot/4a)*r; cqp is its signed
-    product with -hbar*r so that the (a=1/2m, b=0, a_dot=0) specialization
-    matches :func:`second_moments` including sign.
-    """
-    if not coeffs.a > 0.0:
-        raise DomainError(f"coefficient a must be positive, got {coeffs.a!r}")
-    r = abs(amp.eps)
-    r_dot = (amp.eps.conjugate() * amp.eps_dot).real / r
-    inner = coeffs.b * r - 0.5 * r_dot - 0.25 * (coeffs.a_dot / coeffs.a) * r
-    sq2 = hbar * coeffs.a * r * r
-    sp2 = (hbar / coeffs.a) * (0.25 / (r * r) + inner * inner)
-    cqp = -hbar * r * inner
     return CovarianceState(sq2=sq2, sp2=sp2, cqp=cqp)
 
 

@@ -37,13 +37,20 @@ class WignerGrid:
     z: complex
 
 
+def _density(dq, dp, cov: CovarianceState, hbar: float):
+    """The density at offsets (dq, dp) from the means, for floats or broadcast arrays.
+
+    exp{-(2/hbar^2)[sq2*dp^2 - 2*cqp*dp*dq + sp2*dq^2]} normalized by
+    1/(pi*hbar); the peak value 1/(pi*hbar) sits exactly at the means for
+    every instant (purity is conserved).
+    """
+    expo = -(2.0 / (hbar * hbar)) * (cov.sq2 * dp * dp - 2.0 * cov.cqp * dp * dq + cov.sp2 * dq * dq)
+    return np.exp(expo) / (math.pi * hbar)
+
+
 def wigner_value(q: float, p: float, fm: FirstMoments, cov: CovarianceState,
                  hbar: float) -> float:
-    """Density at one phase-space point.
-
-    exp{-(2/hbar^2)[sq2*(p-<p>)^2 - 2*cqp*(p-<p>)(q-<q>) + sp2*(q-<q>)^2]}
-    normalized by 1/(pi*hbar); the peak value 1/(pi*hbar) sits exactly at the
-    means for every instant (purity is conserved).
+    """Density at one phase-space point; :func:`wigner_grid` gives the same doubles.
 
     Raises:
         DomainError: if ``cov`` violates the determinant identity beyond 1e-6
@@ -55,10 +62,7 @@ def wigner_value(q: float, p: float, fm: FirstMoments, cov: CovarianceState,
             f"covariances {cov!r} do not describe a minimum-uncertainty state "
             f"(det={det!r}, expected {hbar * hbar / 4.0!r})"
         )
-    dq = q - fm.q_mean
-    dp = p - fm.p_mean
-    expo = -(2.0 / (hbar * hbar)) * (cov.sq2 * dp * dp - 2.0 * cov.cqp * dp * dq + cov.sp2 * dq * dq)
-    return math.exp(expo) / (math.pi * hbar)
+    return float(_density(q - fm.q_mean, p - fm.p_mean, cov, hbar))
 
 
 def wigner_grid(t: float, z: complex, p: OscParams,
@@ -85,11 +89,7 @@ def wigner_grid(t: float, z: complex, p: OscParams,
     s_p = math.sqrt(cov.sp2)
     q_axis = np.linspace(fm.q_mean - hw_q * s_q, fm.q_mean + hw_q * s_q, n_q)
     p_axis = np.linspace(fm.p_mean - hw_p * s_p, fm.p_mean + hw_p * s_p, n_p)
-    dq = (q_axis - fm.q_mean)[:, None]
-    dp = (p_axis - fm.p_mean)[None, :]
-    h2 = p.hbar * p.hbar
-    expo = -(2.0 / h2) * (cov.sq2 * dp * dp - 2.0 * cov.cqp * dp * dq + cov.sp2 * dq * dq)
-    values = np.exp(expo) / (math.pi * p.hbar)
+    values = _density((q_axis - fm.q_mean)[:, None], (p_axis - fm.p_mean)[None, :], cov, p.hbar)
     return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values,
                       t=t, params=p, z=complex(z))
 
@@ -118,11 +118,16 @@ def _simpson_weights(n: int, h: float) -> np.ndarray:
     return w
 
 
-def grid_integral(g: WignerGrid) -> float:
-    """Total mass of the grid by the composite Simpson rule on both axes."""
+def _weights_and_total(g: WignerGrid) -> tuple[np.ndarray, np.ndarray, float]:
+    """The Simpson weights of both axes and the grid's total mass under them."""
     wq = _simpson_weights(len(g.q_axis), float(g.q_axis[1] - g.q_axis[0]))
     wp = _simpson_weights(len(g.p_axis), float(g.p_axis[1] - g.p_axis[0]))
-    return float(wq @ g.values @ wp)
+    return wq, wp, float(wq @ g.values @ wp)
+
+
+def grid_integral(g: WignerGrid) -> float:
+    """Total mass of the grid by the composite Simpson rule on both axes."""
+    return _weights_and_total(g)[2]
 
 
 def grid_moments(g: WignerGrid) -> tuple[FirstMoments, CovarianceState]:
@@ -134,9 +139,7 @@ def grid_moments(g: WignerGrid) -> tuple[FirstMoments, CovarianceState]:
     Raises:
         NotNormalized: if the grid mass deviates from one by more than 1e-4.
     """
-    wq = _simpson_weights(len(g.q_axis), float(g.q_axis[1] - g.q_axis[0]))
-    wp = _simpson_weights(len(g.p_axis), float(g.p_axis[1] - g.p_axis[0]))
-    total = float(wq @ g.values @ wp)
+    wq, wp, total = _weights_and_total(g)
     if abs(total - 1.0) > 1e-4:
         raise NotNormalized(f"grid mass {total!r} deviates from 1 by more than 1e-4")
     q = g.q_axis

@@ -12,7 +12,7 @@ import pytest
 
 import switchosc
 from switchosc import OscParams, conserved_pair, epsilon, first_moments, omega_of, second_moments
-from switchosc.cli import _build_parser, main
+from switchosc.cli import MAX_GRID_N, MAX_SAMPLES, _build_parser, _resolve_config, main
 
 FIG_Q0 = 1.7320508075688772  # sqrt(3)
 
@@ -240,6 +240,16 @@ class TestCoherence:
         assert run(capsys, "coherence", "--t0", "0")[0] == 2
 
 
+class TestOutputFile:
+    def test_unwritable_path_is_a_computation_error(self, capsys, tmp_path):
+        out_file = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, "profile", "--samples", "3", "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out_file.exists()
+
+
 class TestOutOfDomainArguments:
     """Arguments outside the parameter domain exit 2 with one error line and no output."""
 
@@ -261,6 +271,27 @@ class TestOutOfDomainArguments:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+
+    @pytest.mark.parametrize("argv, names", [
+        # above the caps; the checks run before any array is allocated
+        (["profile", "--samples", str(MAX_SAMPLES + 1)], "samples"),
+        (["profile", "--samples", "100000000000000"], "samples"),
+        (["wigner", "--grid-n", "3000000"], "grid_n"),
+        # t1 - t0 overflows to infinity
+        (["profile", "--t0=-1e308", "--t1=1e308"], "window length"),
+    ])
+    def test_sizes_and_window_are_bounded(self, capsys, argv, names):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+
+    def test_caps_themselves_are_accepted(self):
+        def resolve(*argv):
+            return _resolve_config(_build_parser().parse_args(argv))
+
+        assert resolve("profile", "--samples", str(MAX_SAMPLES)).samples == MAX_SAMPLES
+        assert resolve("wigner", "--grid-n", str(MAX_GRID_N)).grid_n == MAX_GRID_N
 
     @pytest.mark.parametrize("command", ["phase-diagram", "wigner", "validate"])
     @pytest.mark.parametrize("label", [["--z-re", "nan"], ["--z-im", "inf"], ["--z-re=-inf"]])

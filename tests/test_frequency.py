@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from switchosc import DomainError, OscParams, epsilon, hamiltonian_coefficients, omega_of, omega_profile
+from switchosc import DomainError, OscParams, epsilon, omega_of, omega_profile
 from switchosc.classical import _eps_after, _eps_before, _eps_switching
 from switchosc.frequency import region_masks
 
@@ -213,20 +213,3 @@ class TestOmega:
         for t in [-3.0 + 8.0 * i / 100.0 for i in range(101)]:
             assert omega_of(t, near) > 0.0
             assert omega_of(t, FIG) > 0.0
-
-
-class TestHamiltonianCoefficients:
-    def test_figure_values_before_switch(self):
-        c = hamiltonian_coefficients(-1.0, FIG)
-        assert c.a == 0.5
-        assert c.b == 0.0
-        assert c.a_dot == 0.0
-        assert c.c == pytest.approx(7.0 / 18.0, abs=1e-15)
-
-    def test_mass_enters_only_a_and_c(self):
-        c = hamiltonian_coefficients(3.0, OscParams(m=2.0, alpha=0.0))
-        assert c.a == 0.25
-        assert c.c == pytest.approx(1.0, abs=1e-15)
-
-    def test_post_switch_value(self):
-        assert hamiltonian_coefficients(10.0, FIG).c == pytest.approx(0.25, abs=1e-15)

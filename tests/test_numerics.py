@@ -46,9 +46,13 @@ FLAT = OscParams(alpha=0.0)
 EPS = sys.float_info.epsilon
 
 
-def _circle_error(tol: float, fixed_step: float | None = None) -> float:
-    traj = integrate_ode(FLAT, 0.0, 2.0 * math.pi, (1.0 + 0j, 1j), tol, fixed_step=fixed_step)
-    return max(abs(e - cmath.exp(1j * t)) for t, e in zip(traj.times, traj.eps))
+def _circle_error(times, eps) -> float:
+    return max(abs(e - cmath.exp(1j * t)) for t, e in zip(times, eps))
+
+
+def _adaptive_circle_error(tol: float) -> float:
+    traj = integrate_ode(FLAT, 0.0, 2.0 * math.pi, (1.0 + 0j, 1j), tol)
+    return _circle_error(traj.times, traj.eps)
 
 
 class TestIntegrator:
@@ -69,23 +73,10 @@ class TestIntegrator:
 
     def test_halving_the_tolerance_does_not_hurt(self):
         tols = [1e-5, 5e-6, 2.5e-6, 1.25e-6, 6.25e-7, 3.125e-7]
-        errors = [_circle_error(tol) for tol in tols]
+        errors = [_adaptive_circle_error(tol) for tol in tols]
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= 4.0 * coarse
         assert errors[-1] < errors[0]
-
-    def test_fixed_step_order(self):
-        # propagated solution is eighth order: halving h gains about 2^8
-        ratio = _circle_error(1e-6, fixed_step=0.8) / _circle_error(1e-6, fixed_step=0.4)
-        assert 128.0 < ratio < 512.0
-
-    def test_junction_forcing_changes_nothing_measurable(self):
-        tol = 1e-9
-        start = (1.2 + 0.1j, 0.2 + 0.9j)
-        forced = integrate_ode(FIG, -1.0, 1.0, start, tol, force_junctions=True)
-        blind = integrate_ode(FIG, -1.0, 1.0, start, tol, force_junctions=False)
-        assert abs(forced.eps[-1] - blind.eps[-1]) < 10.0 * tol
-        assert abs(forced.eps_dot[-1] - blind.eps_dot[-1]) < 10.0 * tol
 
     def test_requested_times_are_recorded_exactly(self):
         ts = [0.0, 0.3, 1.0, 1.7, 2.0]
@@ -107,8 +98,6 @@ class TestIntegrator:
             integrate_ode(FLAT, 0.0, 1.0, (1.0 + 0j, 1j), 1e-2)
         with pytest.raises(DomainError):
             integrate_ode(FLAT, 1.0, 1.0, (1.0 + 0j, 1j), 1e-9)
-        with pytest.raises(DomainError):
-            integrate_ode(FLAT, 0.0, 1.0, (1.0 + 0j, 1j), 1e-9, fixed_step=-0.1)
 
     @pytest.mark.parametrize(
         "t0, t1, init, t_eval",
@@ -157,19 +146,12 @@ class TestIntegratorStats:
         assert stats.min_step == pytest.approx(steps.min(), rel=1e-9)
         assert stats.max_step == pytest.approx(steps.max(), rel=1e-9)
 
-    def test_junction_stops_only_when_forced(self):
+    def test_junction_stops_are_counted(self):
         start = (1.2 + 0.1j, 0.2 + 0.9j)
-        forced = integrate_ode(FIG, -1.0, 2.0, start, 1e-9, force_junctions=True)
-        blind = integrate_ode(FIG, -1.0, 2.0, start, 1e-9, force_junctions=False)
-        assert forced.stats.junction_stops == 2
-        assert {0.0, FIG.switch_end} <= set(forced.times.tolist())
-        assert blind.stats.junction_stops == 0
-
-    def test_fixed_step_rejects_nothing(self):
-        stats = integrate_ode(FLAT, 0.0, 1.0, (1.0 + 0j, 1j), 1e-6, fixed_step=0.3).stats
-        assert (stats.accepted, stats.rejected, stats.rhs_calls) == (4, 0, 48)
-        assert stats.max_step == 0.3
-        assert stats.min_step == pytest.approx(0.1, abs=1e-12)
+        across = integrate_ode(FIG, -1.0, 2.0, start, 1e-9)
+        assert across.stats.junction_stops == 2
+        assert {0.0, FIG.switch_end} <= set(across.times.tolist())
+        assert integrate_ode(FIG, 2.0, 4.0, start, 1e-9).stats.junction_stops == 0
 
 
 class TestTableau:
@@ -198,6 +180,15 @@ class TestTableau:
     @pytest.mark.parametrize("weights", [_E5, _E3], ids=["E5", "E3"])
     def test_error_weights_sum_to_zero(self, weights):
         assert abs(math.fsum(weights)) <= EPS * math.fsum(map(abs, weights))
+
+    def test_propagated_solution_is_eighth_order(self):
+        # fixed steps of the loop reference on the static circle: halving h gains about 2^8
+        def error(h):
+            times, states, _ = _loop_reference(FLAT, 0.0, 2.0 * math.pi, (1.0 + 0j, 1j), 1e-6,
+                                               fixed_step=h)
+            return _circle_error(times, states[:, 0])
+
+        assert 128.0 < error(0.8) / error(0.4) < 512.0
 
 
 def _weighted(coeffs, ks):
@@ -230,12 +221,13 @@ def _error_norm(h: float, ks: list, y: tuple, y_new: tuple, budget: float) -> fl
     return h * sum5 / math.sqrt(4.0 * (sum5 + 0.01 * sum3))
 
 
-def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, force_junctions=True, fixed_step=None):
+def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, fixed_step=None):
     """The DOP853 step as a loop over the tableau, reading Omega through omega_of.
 
     Every stage sum runs over the whole row, zero weights included.  Same
     stops, controller and stage order as integrate_ode; returns (times,
-    states, stats) for a bit-for-bit comparison.
+    states, stats) for a bit-for-bit comparison.  ``fixed_step`` marches
+    with that step and no controller, for the order check of the tableau.
     """
 
     def rhs(t, y):
@@ -249,7 +241,7 @@ def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, force_junctions=True, 
     if t_eval is not None:
         eval_set = set(t_eval)
         stops.update(x for x in t_eval if x > t0)
-    junctions = {tj for tj in (0.0, p.switch_end) if t0 < tj < t1} if force_junctions else set()
+    junctions = {tj for tj in (0.0, p.switch_end) if t0 < tj < t1}
     stops.update(junctions)
     stop_list = sorted(stops)
     record_all = t_eval is None
@@ -326,13 +318,6 @@ class TestKernelMatchesLoopReference:
         ts = [-2.0, -0.5, 0.0, 0.3, p.switch_end, 2.0, 7.5]
         _assert_matches_loop_reference(p, -2.0, 7.5, self.START, 1e-9, t_eval=ts)
 
-    def test_fixed_step(self):
-        _assert_matches_loop_reference(FIG, -1.0, 3.0, self.START, 1e-6, fixed_step=0.07)
-
-    def test_blind_across_the_junctions(self):
-        _assert_matches_loop_reference(OscParams(alpha=0.97), -1.0, 3.0, self.START, 1e-11,
-                                       force_junctions=False)
-
     # The cases below pin where the kernel reads Omega once per step (wholly
     # before or after the window) and where it reads it at every stage.
 
@@ -341,33 +326,15 @@ class TestKernelMatchesLoopReference:
         # the final step ends exactly on t = 0.0, which is inside the window
         _assert_matches_loop_reference(OscParams(alpha=0.97), -2.0, 0.0, self.START, tol)
 
-    def test_fixed_steps_land_on_zero(self):
-        # -1.0 + 4*0.25 is exactly 0.0, reached by arithmetic, not by a stop
-        _assert_matches_loop_reference(OscParams(alpha=0.97), -1.0, 1.0, self.START, 1e-6,
-                                       fixed_step=0.25)
-
     def test_start_on_the_window_end(self):
         p = OscParams(alpha=0.97)
         _assert_matches_loop_reference(p, p.switch_end, p.switch_end + 5.0, self.START, 1e-11)
-
-    def test_step_enters_the_window_at_its_last_stage(self):
-        # the first step spans [-0.95, 0.05]: its stages up to t + (6/7)*h lie
-        # before the window, its last (c = 1) inside it
-        _assert_matches_loop_reference(OscParams(alpha=0.97), -0.95, 3.05, self.START, 1e-6,
-                                       fixed_step=1.0, force_junctions=False)
-
-    @pytest.mark.parametrize("aw", [0.5, 0.97])
-    @pytest.mark.parametrize("tol", [1e-11, 1e-3])
-    @pytest.mark.parametrize("t0, t1", [(-1.0, 0.5), (1.0, 3.0)], ids=["crosses-0", "crosses-end"])
-    def test_blind_across_one_junction(self, aw, tol, t0, t1):
-        _assert_matches_loop_reference(OscParams(alpha=aw), t0, t1, self.START, tol,
-                                       force_junctions=False)
 
 
 @settings(max_examples=40, deadline=None)
 @given(aw=st.floats(0.0, 0.999), omega=st.floats(0.5, 2.0), t0=st.floats(-30.0, 1010.0),
        span=st.floats(0.01, 8.0), log_tol=st.floats(-13.0, -3.0),
-       mode=st.sampled_from(["adaptive", "t_eval", "fixed_step", "blind"]),
+       mode=st.sampled_from(["adaptive", "t_eval"]),
        start=st.tuples(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
                        st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)))
 # span*5/5.0 rounds above span here; the last requested time must be t1 itself
@@ -375,8 +342,7 @@ class TestKernelMatchesLoopReference:
          start=(0j, 0j))
 def test_kernel_matches_the_loop_reference(aw, omega, t0, span, log_tol, mode, start):
     t_eval = [t0 + span * k / 5.0 for k in range(5)] + [t0 + span]
-    kw = {"adaptive": {}, "t_eval": {"t_eval": t_eval},
-          "fixed_step": {"fixed_step": span / 13.0}, "blind": {"force_junctions": False}}[mode]
+    kw = {"adaptive": {}, "t_eval": {"t_eval": t_eval}}[mode]
     _assert_matches_loop_reference(OscParams(alpha=aw / omega, omega=omega), t0, t0 + span,
                                    start, 10.0**log_tol, **kw)
 

@@ -5,13 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from switchosc import (
     OscParams,
-    QuadraticCoefficients,
     amplitude,
     conserved_pair,
     epsilon,
-    first_moments,
-    general_first_moments,
-    general_second_moments,
     integrate_ode,
     invariant_coefficients,
     omega_of,
@@ -70,24 +66,6 @@ def test_determinant_identity(p, t):
     cov = second_moments(t, p)
     assert abs((cov.sq2 * cov.sp2 - cov.cqp**2) * 4.0 / p.hbar**2 - 1.0) < 1e-12
     assert cov.sq2 > 0.0 and cov.sp2 > 0.0
-
-
-@settings(deadline=None)
-@given(p=valid_params, t=times, z=labels)
-def test_general_moments_specialize(p, t, z):
-    amp = epsilon(t, p)
-    coeffs = QuadraticCoefficients(a=1.0 / (2.0 * p.m), b=0.0, c=0.0)
-    fm_g = general_first_moments(z, amp, coeffs, p.hbar)
-    fm_s = first_moments(z, t, p)
-    scale = 1.0 + abs(fm_s.q_mean) + abs(fm_s.p_mean)
-    assert abs(fm_g.q_mean - fm_s.q_mean) < 1e-13 * scale
-    assert abs(fm_g.p_mean - fm_s.p_mean) < 1e-13 * scale
-    cov_g = general_second_moments(amp, coeffs, p.hbar)
-    cov_s = second_moments(t, p)
-    cscale = 1.0 + cov_s.sq2 + cov_s.sp2 + abs(cov_s.cqp)
-    assert abs(cov_g.sq2 - cov_s.sq2) < 1e-13 * cscale
-    assert abs(cov_g.sp2 - cov_s.sp2) < 1e-13 * cscale
-    assert abs(cov_g.cqp - cov_s.cqp) < 1e-13 * cscale
 
 
 @settings(deadline=None)

@@ -12,17 +12,12 @@ import numpy as np
 import pytest
 
 from switchosc import (
-    ClassicalAmplitude,
-    DomainError,
     OscParams,
-    QuadraticCoefficients,
     RangeError,
     coherence_scan,
     conserved_pair,
     epsilon,
     first_moments,
-    general_first_moments,
-    general_second_moments,
     invariant_coefficients,
     omega_of,
     second_moments,
@@ -71,28 +66,6 @@ class TestFirstMoments:
     def test_real_label_is_its_complex_value(self):
         assert first_moments(1.5, 1.3, FIG) == first_moments(1.5 + 0j, 1.3, FIG)
 
-    @pytest.mark.parametrize("t", [-4.1, -0.5, 0.0, 0.9, TJ, 2.4, 8.0])
-    def test_general_form_specializes_exactly(self, t):
-        amp = epsilon(t, FIG)
-        coeffs = QuadraticCoefficients(a=1.0 / (2.0 * FIG.m), b=0.0, c=0.0)
-        general = general_first_moments(Z, amp, coeffs, FIG.hbar)
-        special = first_moments(Z, t, FIG)
-        assert general.q_mean == pytest.approx(special.q_mean, rel=1e-14, abs=1e-15)
-        assert general.p_mean == pytest.approx(special.p_mean, rel=1e-14, abs=1e-15)
-
-    def test_cross_term_hamiltonian_case(self):
-        # a=0.5, b=0.3, unit amplitude: the only regression point with b != 0
-        amp = ClassicalAmplitude(t=0.0, eps=1.0 + 0j, eps_dot=1j)
-        fm = general_first_moments(1.0 + 0j, amp, QuadraticCoefficients(a=0.5, b=0.3, c=0.0), 1.0)
-        assert fm.q_mean == pytest.approx(1.4142135623730951, abs=1e-13)
-        assert fm.p_mean == pytest.approx(-0.848528137423857, abs=1e-13)
-
-    def test_nonpositive_a_rejected(self):
-        amp = ClassicalAmplitude(t=0.0, eps=1.0 + 0j, eps_dot=1j)
-        with pytest.raises(DomainError):
-            general_first_moments(Z, amp, QuadraticCoefficients(a=0.0, b=0.0, c=0.0), 1.0)
-
-
 class TestSecondMoments:
     def test_ideal_squeezed_at_zero(self):
         cov = second_moments(0.0, FIG)
@@ -118,35 +91,12 @@ class TestSecondMoments:
         )
         assert worst < 1e-10
 
-    @pytest.mark.parametrize("t", [-4.1, -0.5, 0.0, 0.9, TJ, 2.4, 8.0])
-    def test_general_form_specializes_exactly(self, t):
-        amp = epsilon(t, FIG)
-        coeffs = QuadraticCoefficients(a=0.5, b=0.0, c=0.0)
-        general = general_second_moments(amp, coeffs, FIG.hbar)
-        special = second_moments(t, FIG)
-        assert general.sq2 == pytest.approx(special.sq2, rel=1e-14)
-        assert general.sp2 == pytest.approx(special.sp2, rel=1e-14)
-        assert general.cqp == pytest.approx(special.cqp, rel=1e-14, abs=1e-15)
-
     def test_stationary_unit_amplitude(self):
-        amp = ClassicalAmplitude(t=0.3, eps=complex(math.cos(0.3), math.sin(0.3)),
-                                 eps_dot=1j * complex(math.cos(0.3), math.sin(0.3)))
-        cov = general_second_moments(amp, QuadraticCoefficients(a=0.5, b=0.0, c=0.0), 1.0)
-        assert cov.sq2 == pytest.approx(0.5, abs=1e-13)
-        assert cov.sp2 == pytest.approx(0.5, abs=1e-13)
-        assert abs(cov.cqp) < 1e-13
-
-    def test_cross_term_cofluctuation(self):
-        # frozen envelope (|eps| = 1, slope 0) isolates the b-term: cqp^2 = 0.09
-        amp = ClassicalAmplitude(t=0.0, eps=1.0 + 0j, eps_dot=1j)
-        cov = general_second_moments(amp, QuadraticCoefficients(a=0.5, b=0.3, c=0.0), 1.0)
-        assert cov.cqp**2 == pytest.approx(0.09, abs=1e-14)
-
-    def test_nonpositive_a_rejected(self):
-        amp = ClassicalAmplitude(t=0.0, eps=1.0 + 0j, eps_dot=1j)
-        with pytest.raises(DomainError):
-            general_second_moments(amp, QuadraticCoefficients(a=-1.0, b=0.0, c=0.0), 1.0)
-
+        eps = complex(math.cos(0.3), math.sin(0.3))
+        sq2, sp2, cqp = second_moments_of(eps, 1j * eps, OscParams())
+        assert sq2 == pytest.approx(0.5, abs=1e-13)
+        assert sp2 == pytest.approx(0.5, abs=1e-13)
+        assert abs(cqp) < 1e-13
 
 class TestConservedPair:
     def test_vacuum_label_gives_zero(self):

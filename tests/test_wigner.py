@@ -64,6 +64,15 @@ class TestPointValue:
         with pytest.raises(DomainError):
             wigner_value(0.0, 0.0, fm, CovarianceState(sq2=1.0, sp2=1.0, cqp=0.0), 1.0)
 
+    def test_grid_cells_are_point_values_bit_for_bit(self):
+        t = 0.3
+        g = wigner_grid(t, Z, FIG, resolution=(17, 24))
+        fm = first_moments(Z, t, FIG)
+        cov = second_moments(t, FIG)
+        points = [[wigner_value(q, p, fm, cov, FIG.hbar) for p in g.p_axis.tolist()]
+                  for q in g.q_axis.tolist()]
+        assert np.array(points).tobytes() == g.values.tobytes()
+
 
 class TestGrid:
     def test_axes_center_on_the_means(self):
