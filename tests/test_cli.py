@@ -249,6 +249,24 @@ class TestOutputFile:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["epsilon", "--samples", "3"],
+        ["phase-diagram", "--samples", "3"],
+        ["moments", "--samples", "3"],
+        ["wigner", "--grid-n", "16"],
+        ["wigner", "--grid-n", "16", "--format", "json"],
+        ["coherence"],
+        ["validate"],
+    ], ids=["epsilon", "phase-diagram", "moments", "wigner-csv", "wigner-json", "coherence",
+            "validate"])
+    def test_every_command_reports_an_unwritable_path(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "missing" / "x.out"
+        code, out, err = run(capsys, *argv, "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(out_file) in err
+        assert not out_file.exists()
+
 
 class TestOutOfDomainArguments:
     """Arguments outside the parameter domain exit 2 with one error line and no output."""

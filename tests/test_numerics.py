@@ -153,6 +153,16 @@ class TestIntegratorStats:
         assert {0.0, FIG.switch_end} <= set(across.times.tolist())
         assert integrate_ode(FIG, 2.0, 4.0, start, 1e-9).stats.junction_stops == 0
 
+    @pytest.mark.parametrize("t0, t1, stops", [(-3.0, -1.0, 0), (-1.0, 0.5, 1), (0.2, 1.4, 0),
+                                               (1.0, 3.0, 1), (0.0, 3.0, 1)],
+                             ids=["before", "crosses-0", "inside", "crosses-end", "starts-on-0"])
+    def test_each_junction_inside_the_window_is_one_stop(self, t0, t1, stops):
+        # a junction on the window's edge is an end of the march, not a stop
+        traj = integrate_ode(FIG, t0, t1, (1.2 + 0.1j, 0.2 + 0.9j), 1e-9)
+        inside = {tj for tj in (0.0, FIG.switch_end) if t0 < tj < t1}
+        assert traj.stats.junction_stops == len(inside) == stops
+        assert inside <= set(traj.times.tolist())
+
 
 class TestTableau:
     """The DOP853 coefficients satisfy the conditions that define the pair.
@@ -329,6 +339,14 @@ class TestKernelMatchesLoopReference:
     def test_start_on_the_window_end(self):
         p = OscParams(alpha=0.97)
         _assert_matches_loop_reference(p, p.switch_end, p.switch_end + 5.0, self.START, 1e-11)
+
+    @pytest.mark.parametrize("aw", [0.5, 0.97])
+    @pytest.mark.parametrize("tol", [1e-11, 1e-3])
+    @pytest.mark.parametrize("t0, t1", [(-1.0, 0.5), (1.0, 3.0)], ids=["crosses-0", "crosses-end"])
+    def test_across_one_junction(self, aw, tol, t0, t1):
+        # one stop splits the march into a flat part and a part inside the window
+        stats = _assert_matches_loop_reference(OscParams(alpha=aw), t0, t1, self.START, tol)
+        assert stats.junction_stops == 1
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,7 +23,7 @@ from switchosc import (
     second_moments,
 )
 from switchosc.classical import amplitude, envelope_of
-from switchosc.numerics import RootStats
+from switchosc.numerics import RootStats, derivative
 from switchosc.quantum import second_moments_of
 
 from reference_numerics import scalar_find_root
@@ -33,6 +33,11 @@ FLAT = OscParams(alpha=0.0)
 Z = 1.0 + 0.2j
 TJ = FIG.switch_end
 GRID = [-5.0 + 15.0 * i / 999.0 for i in range(1000)]
+# a mass and an action quantum away from 1, so that each enters the equations
+HEAVY = OscParams(m=1.7, hbar=0.8)
+# times before, inside and after the window, none on a junction, where the
+# slope of Omega jumps and a central difference loses its order
+OFF_JUNCTION = [-4.1, -0.5, 0.3, 0.9, 1.3, 2.4, 8.0]
 
 
 class TestInvariantCoefficients:
@@ -66,6 +71,17 @@ class TestFirstMoments:
     def test_real_label_is_its_complex_value(self):
         assert first_moments(1.5, 1.3, FIG) == first_moments(1.5 + 0j, 1.3, FIG)
 
+    @pytest.mark.parametrize("t", OFF_JUNCTION)
+    def test_means_obey_the_equations_of_motion(self, t):
+        # Ehrenfest for H = p^2/2m + m*Omega^2*q^2/2: d<q>/dt = <p>/m, d<p>/dt = -m*Omega^2*<q>
+        fm = first_moments(Z, t, HEAVY)
+        w2 = omega_of(t, HEAVY) ** 2
+        dq = derivative(lambda s: first_moments(Z, s, HEAVY).q_mean, t)
+        dp = derivative(lambda s: first_moments(Z, s, HEAVY).p_mean, t)
+        assert dq == pytest.approx(fm.p_mean / HEAVY.m, abs=1e-9)
+        assert dp == pytest.approx(-HEAVY.m * w2 * fm.q_mean, abs=1e-9)
+
+
 class TestSecondMoments:
     def test_ideal_squeezed_at_zero(self):
         cov = second_moments(0.0, FIG)
@@ -97,6 +113,19 @@ class TestSecondMoments:
         assert sq2 == pytest.approx(0.5, abs=1e-13)
         assert sp2 == pytest.approx(0.5, abs=1e-13)
         assert abs(cqp) < 1e-13
+
+    @pytest.mark.parametrize("t", OFF_JUNCTION)
+    def test_moments_obey_the_equations_of_motion(self, t):
+        # d sq2/dt = 2*cqp/m, d cqp/dt = sp2/m - m*Omega^2*sq2, d sp2/dt = -2*m*Omega^2*cqp
+        cov = second_moments(t, HEAVY)
+        m, w2 = HEAVY.m, omega_of(t, HEAVY) ** 2
+        dsq2 = derivative(lambda s: second_moments(s, HEAVY).sq2, t)
+        dcqp = derivative(lambda s: second_moments(s, HEAVY).cqp, t)
+        dsp2 = derivative(lambda s: second_moments(s, HEAVY).sp2, t)
+        assert dsq2 == pytest.approx(2.0 * cov.cqp / m, abs=1e-9)
+        assert dcqp == pytest.approx(cov.sp2 / m - m * w2 * cov.sq2, abs=1e-9)
+        assert dsp2 == pytest.approx(-2.0 * m * w2 * cov.cqp, abs=1e-9)
+
 
 class TestConservedPair:
     def test_vacuum_label_gives_zero(self):
