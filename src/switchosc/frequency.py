@@ -7,6 +7,8 @@ Every other module evaluates the switch through :meth:`OscParams.omega_at`
 (one instant, for a caller that checked it), :func:`omega_of` (one checked
 instant), :func:`omega_profile` (an array of instants) and
 :func:`region_masks`, so the three-region bookkeeping lives in one place.
+The closed forms are written once, on numpy arrays; ``omega_at``, the
+integrator's per-stage read, is the one scalar evaluation of Omega.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -105,13 +106,14 @@ class OscParams:
                 f"derived constant switch_end = {self.switch_end!r} is not positive for {self!r}"
             )
         put("root", math.sqrt(1.0 + aw))
-        put("initial_frequency", _omega_from_cos(1.0, self, SCALAR))
-        put("final_frequency", _omega_from_cos(0.0, self, SCALAR))
-        # the window's phase at its end, so that the post-switch piece matches
-        # the switching piece bit for bit there
-        put("junction_phase", _window_phase(self.omega * self.switch_end, self, SCALAR))
-        put("junction_cos", math.cos(self.junction_phase))
-        put("junction_sin", math.sin(self.junction_phase))
+        # the array closed forms at cos(omega*t) = 1 and 0, and the window's phase at
+        # its end, so that the post-switch piece matches the switching piece bit for bit
+        initial, final = _omega_from_cos(np.array([1.0, 0.0]), self).tolist()
+        put("initial_frequency", initial)
+        put("final_frequency", final)
+        put("junction_phase", _window_phase(np.array([self.omega * self.switch_end]), self).item())
+        put("junction_cos", np.cos(self.junction_phase).item())
+        put("junction_sin", np.sin(self.junction_phase).item())
         put("before_re", math.sqrt((1.0 + aw) / self.omega))
         put("before_im", math.sqrt((1.0 + aw) / (self.omega * (1.0 + aw + aw * aw))))
         put("after_re", 1.0 / math.sqrt(self.omega))
@@ -120,13 +122,15 @@ class OscParams:
     def omega_at(self, t: float) -> float:
         """Omega(t) for a finite ``t``, unchecked; :func:`omega_of` checks ``t``.
 
-        The window holds both junction instants: t < 0 is before it, and
-        t <= ``switch_end`` inside it.
+        The one scalar evaluation of Omega, in ``math``: the integrator reads it
+        at every stage.  The window holds both junction instants: t < 0 is
+        before it, and t <= ``switch_end`` inside it.
         """
         if t < 0.0:
             return self.initial_frequency
         if t <= self.switch_end:
-            return _omega_from_cos(math.cos(self.omega * t), self, SCALAR)
+            c = math.cos(self.omega * t)
+            return self.omega * math.sqrt(1.0 - self.aw / pow(1.0 + self.aw * c * c, 2))
         return self.final_frequency
 
 
@@ -145,54 +149,23 @@ def region_masks(ts, p: OscParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, t < 0.0, t > p.switch_end
 
 
-def _complex_array(re, im) -> np.ndarray:
-    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
-    out.real = re
-    out.imag = im
-    return out
+# tan, atan and pow, which numpy computes with its own rounding on some CPUs,
+# call the C library element by element, as Python's math and pow do
+_tan = np.vectorize(math.tan, otypes=[float])
+_atan = np.vectorize(math.atan, otypes=[float])
 
 
-class ElementaryOps(NamedTuple):
-    """The elementary functions a closed form needs, for floats or for arrays.
-
-    Each closed form is written once against these; :data:`SCALAR` evaluates
-    it on one float with ``math``, :data:`ARRAY` on a float array with numpy.
-    Both round alike, so a table and the one-instant functions agree to the
-    last bit: ``tan``, ``atan`` and ``pow``, which numpy computes with its own
-    rounding on some CPUs, call the C library element by element, and numpy's
-    ``sqrt``, ``cos`` and ``sin`` match ``math`` wherever numpy uses the C
-    library for them.
-    """
-
-    sqrt: Callable
-    cos: Callable
-    sin: Callable
-    tan: Callable
-    atan: Callable
-    pow: Callable
-    where: Callable
-    complex: Callable
-
-
-SCALAR = ElementaryOps(math.sqrt, math.cos, math.sin, math.tan, math.atan, pow,
-                       lambda cond, a, b: a if cond else b, complex)
-ARRAY = ElementaryOps(np.sqrt, np.cos, np.sin, np.vectorize(math.tan, otypes=[float]),
-                      np.vectorize(math.atan, otypes=[float]), np.float_power, np.where,
-                      _complex_array)
-
-
-def _omega_from_cos(c, p: OscParams, ops: ElementaryOps):
+def _omega_from_cos(c: np.ndarray, p: OscParams) -> np.ndarray:
     # omega*sqrt(1 - aw/(1 + aw*c^2)^2) with c = cos(omega*t) on the window;
     # c = 1 gives the flat frequency before it and c = 0 the one after it
-    return p.omega * ops.sqrt(1.0 - p.aw / ops.pow(1.0 + p.aw * c * c, 2))
+    return p.omega * np.sqrt(1.0 - p.aw / np.float_power(1.0 + p.aw * c * c, 2))
 
 
-def _window_phase(u, p: OscParams, ops: ElementaryOps):
+def _window_phase(u: np.ndarray, p: OscParams) -> np.ndarray:
     # int_0^t ds/(1/omega + alpha*cos(omega*s)^2) at u = omega*t on the window,
     # arctan(tan(u)/root)/root; u = pi/2, or one rounding step past it, is a
     # removable singularity of tan and takes the limit value
-    return ops.where(u >= 0.5 * math.pi, 0.5 * math.pi / p.root,
-                     ops.atan(ops.tan(u) / p.root) / p.root)
+    return np.where(u >= 0.5 * math.pi, 0.5 * math.pi / p.root, _atan(_tan(u) / p.root) / p.root)
 
 
 def omega_of(t: float, p: OscParams) -> float:
@@ -218,4 +191,4 @@ def omega_profile(ts, p: OscParams) -> np.ndarray:
     """
     t, before, after = region_masks(ts, p)
     c = np.where(before, 1.0, np.where(after, 0.0, np.cos(p.omega * t)))
-    return _omega_from_cos(c, p, ARRAY)
+    return _omega_from_cos(c, p)

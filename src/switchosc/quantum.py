@@ -3,9 +3,9 @@
 All quantum quantities of the minimum-uncertainty states — the linear
 invariant's coefficients, the conserved pair, first moments, the three second
 moments, and the coherence scan — are pure functions of (eps, eps_dot).  The
-``*_of`` functions take (eps, eps_dot) as complex scalars or as the arrays of
-:func:`switchosc.classical.amplitude`; the functions of ``t`` evaluate them at
-one instant.
+``*_of`` functions take (eps, eps_dot) as the arrays of
+:func:`switchosc.classical.amplitude`; the functions of ``t`` are the same
+code at one sample.
 """
 
 from __future__ import annotations
@@ -17,11 +17,14 @@ import numpy as np
 
 from .classical import amplitude, envelope_of, epsilon
 from .errors import RangeError
-from .frequency import OscParams, omega_of
+from .frequency import OscParams
 from .numerics import RootStats, find_root
 
 # the stats of a scan that polished no bracket
 NO_SEARCH = RootStats(brackets=0, iterations=0, evaluations=0)
+# the most points of a coherence scan's grid; the command line caps --samples
+# at the same number
+MAX_SAMPLES = 1_000_001
 
 
 @dataclass(frozen=True)
@@ -82,9 +85,10 @@ class CoherenceEvent:
 class CoherenceScanResult:
     """Outcome of scanning for cofluctuation zeros.
 
-    With a static frequency (alpha = 0) the cofluctuation vanishes
-    identically; ``always_coherent`` is then set and the uniform ratios are
-    reported instead of discrete events.  ``stats`` is what the root search
+    Where the post-switch envelope is flat (after_re == after_im: alpha = 0,
+    or 1 - alpha*omega rounds to 1) the cofluctuation vanishes identically;
+    ``always_coherent`` is then set and the uniform ratios are reported
+    instead of discrete events.  ``stats`` is what the root search
     did: the brackets polished, the lane iterations and the evaluations of
     the envelope slope (all zero when nothing was polished).
     """
@@ -123,9 +127,8 @@ def first_moments_of(z: complex, eps, eps_dot, p: OscParams):
 
 def first_moments(z: complex, t: float, p: OscParams) -> FirstMoments:
     """Mean position and momentum of the state labeled ``z`` at time ``t``."""
-    amp = epsilon(t, p)
-    q_mean, p_mean = first_moments_of(z, amp.eps, amp.eps_dot, p)
-    return FirstMoments(q_mean=q_mean, p_mean=p_mean)
+    q_mean, p_mean = first_moments_of(z, *amplitude([t], p), p)
+    return FirstMoments(q_mean=q_mean.item(), p_mean=p_mean.item())
 
 
 def conserved_pair_of(z: complex, eps, eps_dot, p: OscParams):
@@ -143,8 +146,8 @@ def conserved_pair_of(z: complex, eps, eps_dot, p: OscParams):
 
 def conserved_pair(z: complex, t: float, p: OscParams) -> tuple[float, float]:
     """Mean values (Q0, P0) of the conserved pair; constant in ``t`` for fixed z."""
-    amp = epsilon(t, p)
-    return conserved_pair_of(z, amp.eps, amp.eps_dot, p)
+    q0, p0 = conserved_pair_of(z, *amplitude([t], p), p)
+    return q0.item(), p0.item()
 
 
 def second_moments_of(eps, eps_dot, p: OscParams):
@@ -162,9 +165,8 @@ def second_moments_of(eps, eps_dot, p: OscParams):
 
 def second_moments(t: float, p: OscParams) -> CovarianceState:
     """The three second moments at time ``t``."""
-    amp = epsilon(t, p)
-    sq2, sp2, cqp = second_moments_of(amp.eps, amp.eps_dot, p)
-    return CovarianceState(sq2=sq2, sp2=sp2, cqp=cqp)
+    sq2, sp2, cqp = second_moments_of(*amplitude([t], p), p)
+    return CovarianceState(sq2=sq2.item(), sp2=sp2.item(), cqp=cqp.item())
 
 
 def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResult:
@@ -180,8 +182,9 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
 
     Raises:
         RangeError: if ``t_lo`` precedes the switch end, t_hi <= t_lo, or,
-            for a switched frequency, the doubles near ``t_hi`` are more than
-            1e-9 of the event spacing apart.
+            where the envelope is not flat, the doubles near ``t_hi`` are more
+            than 1e-9 of the event spacing apart or the grid, 16 points per
+            event spacing, would exceed ``MAX_SAMPLES`` points.
     """
     t_j = p.switch_end
     if t_lo < t_j:
@@ -189,9 +192,10 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
     if not t_hi > t_lo:
         raise RangeError(f"need t_hi > t_lo, got [{t_lo!r}, {t_hi!r}]")
     half = 0.5 * p.hbar
-    if p.alpha == 0.0:
+    # the scan lies at or past the switch end, where Omega is the final frequency
+    w = p.final_frequency
+    if p.after_re == p.after_im:
         cov = second_moments(t_lo, p)
-        w = omega_of(t_lo, p)
         return CoherenceScanResult(
             always_coherent=True,
             events=(),
@@ -212,6 +216,11 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
         return envelope_of(*amplitude(x, p))[1]
 
     n = max(8, math.ceil((t_hi - t_lo) / (spacing / 16.0)))
+    if n + 1 > MAX_SAMPLES:
+        raise RangeError(
+            f"the scan grid of [{t_lo!r}, {t_hi!r}] would hold {n + 1} points, "
+            f"more than the cap of {MAX_SAMPLES}"
+        )
     ts = t_lo + np.arange(n + 1) * (t_hi - t_lo) / n
     values = slope(ts)
     # a zero on the grid is an event; a sign change between two nonzero
@@ -227,8 +236,6 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
     edge = 1e-6 * spacing
     roots = roots[(roots - t_lo > edge) & (t_hi - roots > edge)]
 
-    # every root lies past the switch end, where Omega is the final frequency
-    w = p.final_frequency
     sq2, sp2, cqp = second_moments_of(*amplitude(roots, p), p)
     events = []
     for r, sq2_r, sp2_r, cqp_r in zip(roots.tolist(), sq2.tolist(), sp2.tolist(), cqp.tolist()):

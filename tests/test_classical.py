@@ -27,7 +27,6 @@ from switchosc import (
     wronskian,
 )
 from switchosc.classical import _eps_after, _eps_before, _eps_switching, envelope_of
-from switchosc.frequency import ARRAY
 
 from reference_numerics import second_derivative
 
@@ -130,7 +129,7 @@ class TestAmplitude:
         # the one-sided forms agree to ~1e-16 there, so only equality tells them apart
         ts = np.array([0.0, TJ])
         eps, eps_dot = amplitude(ts, FIG)
-        window = _eps_switching(ts, FIG, ARRAY)
+        window = _eps_switching(ts, FIG)
         assert np.array_equal(eps, window.eps) and np.array_equal(eps_dot, window.eps_dot)
 
     @pytest.mark.parametrize("t", [-3.2, -0.7, 0.3, 1.1, 1.5, 2.5, 7.9])

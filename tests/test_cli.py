@@ -12,7 +12,9 @@ import pytest
 
 import switchosc
 from switchosc import OscParams, conserved_pair, epsilon, first_moments, omega_of, second_moments
+from switchosc import cli, quantum
 from switchosc.cli import MAX_GRID_N, MAX_SAMPLES, _build_parser, _resolve_config, main
+from switchosc.quantum import CoherenceEvent, CoherenceScanResult
 
 FIG_Q0 = 1.7320508075688772  # sqrt(3)
 
@@ -236,6 +238,24 @@ class TestCoherence:
         assert float(comments["uniform_sp_ratio"]) == pytest.approx(1.0, abs=1e-12)
         assert rows == []
 
+    def test_flat_post_switch_envelope_reports_the_degenerate_flag(self, capsys):
+        code, out, _ = run(capsys, "coherence", "--alpha", "1e-17")
+        assert code == 0
+        comments, _, rows = parse_csv(out)
+        assert comments["always_coherent"] == "true"
+        assert rows == []
+
+    def test_scan_grid_above_the_sample_cap_rejected(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan evaluated its grid")
+
+        monkeypatch.setattr(quantum, "amplitude", refuse)
+        # about 138,840 time units fill the cap at the default parameters
+        code, out, err = run(capsys, "coherence", "--t1", "140000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(MAX_SAMPLES) in err
+
     def test_window_before_switch_end_rejected(self, capsys):
         assert run(capsys, "coherence", "--t0", "0")[0] == 2
 
@@ -320,6 +340,25 @@ class TestOutOfDomainArguments:
         assert err.startswith("error: ") and err.count("\n") == 1 and "z_re and z_im" in err
 
 
+class TestNonFiniteOutput:
+    """Parameters inside the domain whose outputs leave the doubles exit 1 with one error line."""
+
+    @pytest.mark.parametrize("argv, column", [
+        (["moments", "--omega", "1e-307", "--mass", "1e-5", "--alpha", "0", "--samples", "3"],
+         "sigma_q2"),
+        (["moments", "--omega", "1e-307", "--mass", "1e-5", "--alpha", "0", "--samples", "3",
+          "--format", "json"], "sigma_q2"),
+        (["phase-diagram", "--omega", "1e-300", "--z-re", "1e200", "--samples", "3"], "q_mean"),
+        (["wigner", "--omega", "1e-300", "--z-re", "1e200", "--grid-n", "16"], "q"),
+    ], ids=["moments-csv", "moments-json", "phase-diagram", "wigner"])
+    def test_first_non_finite_column_is_named(self, capsys, argv, column):
+        # warnings are errors under pytest, so this also checks that numpy's stay silent
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: output {column} is not finite: the parameters leave the range of doubles\n"
+
+
 class TestValidate:
     def test_json_report_adjudicates_all_checks(self, capsys):
         code, out, _ = run(capsys, "validate", "--format", "json")
@@ -355,6 +394,33 @@ class TestValidate:
         inst = {c["name"]: c for c in report["checks"]}["coherent_instants"]
         assert inst["evidence"]["always_coherent"] is True
         assert inst["evidence"]["uniform_sq_ratio"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_flat_post_switch_envelope_is_degenerate(self, capsys):
+        code, out, _ = run(capsys, "validate", "--alpha", "1e-17", "--format", "json")
+        assert code == 0
+        inst = {c["name"]: c for c in json.loads(out)["checks"]}["coherent_instants"]
+        assert inst["evidence"]["always_coherent"] is True
+        assert inst["verdict"].startswith("degenerate")
+
+    # the envelope spacing at the default parameters is pi/(2*sqrt(0.5))
+    @pytest.mark.parametrize("times, verdict", [
+        ([], "inconclusive"),
+        ([3.0], "inconclusive"),
+        ([3.0, 3.1, 3.2], "inconclusive"),
+        ([3.0, 5.2214415, 7.44], "inconclusive"),
+        ([3.0, 3.0 + math.pi / math.sqrt(2.0), 3.0 + 2.0 * math.pi / math.sqrt(2.0)],
+         "cofluctuation zeros follow"),
+    ], ids=["none", "one", "grid-spaced", "one-off", "envelope-spaced"])
+    def test_coherent_instants_verdict_rests_on_the_spacing(self, capsys, monkeypatch, times,
+                                                            verdict):
+        events = tuple(CoherenceEvent(t=t, sq_ratio=1.0, sp_ratio=1.0, cqp=0.0, t_predicted=t,
+                                      offset=0.0) for t in times)
+        monkeypatch.setattr(cli, "coherence_scan",
+                            lambda p, t_lo, t_hi: CoherenceScanResult(False, events))
+        code, out, _ = run(capsys, "validate", "--format", "json")
+        assert code == 0
+        inst = {c["name"]: c for c in json.loads(out)["checks"]}["coherent_instants"]
+        assert inst["verdict"].startswith(verdict)
 
 
 class TestConfigFile:

@@ -22,6 +22,7 @@ from switchosc import (
     omega_of,
     second_moments,
 )
+from switchosc import quantum
 from switchosc.classical import amplitude, envelope_of
 from switchosc.numerics import RootStats, derivative
 from switchosc.quantum import second_moments_of
@@ -161,6 +162,33 @@ class TestCoherenceScan:
         assert res.events == ()
         assert res.sq_ratio == pytest.approx(1.0, abs=1e-12)
         assert res.sp_ratio == pytest.approx(1.0, abs=1e-12)
+
+    def test_flat_post_switch_envelope_is_always_coherent(self):
+        # 1 - alpha*omega rounds to 1, so the envelope slope is zero on the whole grid
+        p = OscParams(alpha=1e-17)
+        assert p.after_re == p.after_im
+        res = coherence_scan(p, p.switch_end, p.switch_end + 3.0 * 2.0 * math.pi / p.final_frequency)
+        assert res.always_coherent
+        assert res.events == ()
+        assert res.sq_ratio == pytest.approx(1.0, abs=1e-12)
+        assert res.sp_ratio == pytest.approx(1.0, abs=1e-12)
+
+    def test_grid_above_the_cap_is_refused_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the scan built its grid")
+
+        monkeypatch.setattr(quantum.np, "arange", refuse)
+        monkeypatch.setattr(quantum, "amplitude", refuse)
+        with pytest.raises(RangeError, match="72025295 points, more than the cap of 1000001"):
+            coherence_scan(FIG, TJ, 1e7)
+
+    def test_grid_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(quantum, "MAX_SAMPLES", 101)
+        step = math.pi / (2.0 * FIG.final_frequency) / 16.0
+        # 100 grid intervals are 101 points, 101 intervals are 102
+        assert len(coherence_scan(FIG, TJ, TJ + 99.5 * step).events) == 6
+        with pytest.raises(RangeError, match="102 points"):
+            coherence_scan(FIG, TJ, TJ + 100.5 * step)
 
     def test_events_follow_the_post_switch_envelope_spacing(self):
         spacing = math.pi / (2.0 * math.sqrt(0.5))

@@ -1,0 +1,92 @@
+"""Print one SHA-256 digest per CLI output over a fixed set of invocations.
+
+Each invocation runs in this process through ``switchosc.cli.main``; its exit
+code, stdout and stderr are hashed together and printed as ``<sha256>  <argv>``.
+Run it on two checkouts and diff the listings to see which outputs a change
+moves:
+
+    python tools/output_digests.py > change.txt
+    python tools/output_digests.py --src ../parent/src > parent.txt
+    diff parent.txt change.txt
+
+The set covers every subcommand at alpha*omega = 0, 0.5 and 0.97 (omega = 1),
+in both formats, at four windows or instants each, plus a few invocations
+that fail or sit at the edge of double precision.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import sys
+import warnings
+from pathlib import Path
+
+TABLES = ("profile", "epsilon", "phase-diagram", "moments")
+ALPHAS = ("0", "0.5", "0.97")
+FORMATS = ("csv", "json")
+TABLE_WINDOWS = (("-5", "10"), ("-2", "-0.5"), ("0.25", "1.25"), ("3", "40"))
+WIGNER_INSTANTS = ("-2", "0", "0.8", "6")
+# the default window (three post-switch periods), two later ones and one far out
+SCAN_WINDOWS = ((), ("--t0=2", "--t1=30"), ("--t0=100", "--t1=160"), ("--t0=1e6", "--t1=1000010"))
+VALIDATE_WINDOWS = (("-5", "10"), ("-3", "-1"), ("0.5", "20"), ("2", "30"))
+EDGE_CASES = (
+    ("moments", "--omega=1e-307", "--mass=1e-5", "--alpha=0", "--samples=3"),
+    ("phase-diagram", "--omega=1e-300", "--z-re=1e200", "--samples=3"),
+    ("coherence", "--alpha=1e-17"),
+    ("validate", "--alpha=1e-17", "--format=json"),
+    ("profile", "--samples=1"),
+    ("coherence", "--t0=0"),
+    ("epsilon", "--alpha=2"),
+)
+
+
+def invocations() -> list[tuple[str, ...]]:
+    """The fixed argv set, in the order it is run and printed."""
+    out: list[tuple[str, ...]] = []
+    for alpha in ALPHAS:
+        for fmt in FORMATS:
+            common = (f"--alpha={alpha}", f"--format={fmt}")
+            for cmd in TABLES:
+                for t0, t1 in TABLE_WINDOWS:
+                    out.append((cmd, *common, f"--t0={t0}", f"--t1={t1}", "--samples=301"))
+            for t in WIGNER_INSTANTS:
+                out.append(("wigner", *common, f"--t={t}", "--grid-n=33"))
+            for window in SCAN_WINDOWS:
+                out.append(("coherence", *common, *window))
+            for t0, t1 in VALIDATE_WINDOWS:
+                out.append(("validate", *common, f"--t0={t0}", f"--t1={t1}", "--grid-n=64"))
+    out.extend(EDGE_CASES)
+    return out
+
+
+def digest(main, argv: tuple[str, ...]) -> str:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(list(argv))
+    h = hashlib.sha256(f"{rc}\n".encode())
+    for text in (stdout.getvalue(), stderr.getvalue()):
+        h.update(b"\0" + text.encode())
+    return h.hexdigest()
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                    help="directory holding the switchosc package (default: this checkout's src)")
+    args = ap.parse_args()
+    sys.path.insert(0, str(args.src.resolve()))
+    cli = importlib.import_module("switchosc.cli")
+    # every warning is printed each time, so an output does not depend on
+    # which invocations ran before it
+    warnings.simplefilter("always")
+    for argv in invocations():
+        print(f"{digest(cli.main, argv)}  {' '.join(argv)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
