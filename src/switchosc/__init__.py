@@ -4,7 +4,7 @@ frequency is switched smoothly over a finite window.
 The closed-form complex amplitude drives everything quantum: moments of the
 minimum-uncertainty states, their conserved pair, and the Gaussian
 phase-space distribution.  A self-contained numerical layer (adaptive
-Runge-Kutta, adaptive quadrature, root finding) independently cross-checks
+Runge-Kutta, Romberg quadrature, root finding) independently cross-checks
 every closed form.
 """
 

@@ -4,6 +4,9 @@ Nothing here knows the analytic solution: the integrator sees only the
 frequency profile, the quadrature sees only an integrand, the root finder
 only a bracket.  That independence is the point — these routines arbitrate
 whenever a closed form is in doubt.
+
+Every callable handed to this module, be it an integrand or the function of a
+root search or a finite difference, maps a float array to an array of values.
 """
 
 from __future__ import annotations
@@ -333,7 +336,8 @@ def integrate_ode(
         ev3 /= sc
         sum5 = ex5 * ex5 + ey5 * ey5 + eu5 * eu5 + ev5 * ev5
         sum3 = ex3 * ex3 + ey3 * ey3 + eu3 * eu3 + ev3 * ev3
-        if sum5 == 0.0 and sum3 == 0.0:
+        # a zero fifth-order sum is a zero norm, also where 0.01 * S3 underflows
+        if sum5 == 0.0:
             err_norm = 0.0
         else:
             err_norm = h_try * sum5 / math.sqrt(4.0 * (sum5 + 0.01 * sum3))
@@ -369,49 +373,41 @@ def integrate_ode(
     return Trajectory(times=np.array(times), states=out, tol=tol, stats=stats)
 
 
-def quadrature(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10,
-               max_depth: int = 50) -> float:
-    """Adaptive Simpson integral of ``f`` over [a, b] to absolute accuracy ``tol``.
+def quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
+               tol: float = 1e-10) -> float:
+    """Romberg integral of ``f`` over [a, b] to absolute accuracy ``tol``.
 
-    Uses recursive bisection with the standard 15x Richardson acceptance test
-    and returns the extrapolated value.
+    Level k is the trapezoid sum over 2^k panels: level 0 calls ``f`` on both
+    ends, each later level once, on its new midpoints only.  The sums are
+    extrapolated in h^2 until the best estimates of two levels agree to ``tol``.
 
     Raises:
         RangeError: if a > b.
-        DomainError: if the integrand returns a non-finite value.
-        ToleranceNotMet: if the recursion depth limit is reached before the
-            local error budget is satisfied.
+        DomainError: unless ``f`` returns one finite value per point.
+        ToleranceNotMet: if no two levels up to level 20 agree.
     """
     if a > b:
         raise RangeError(f"need a <= b, got a={a!r}, b={b!r}")
     if a == b:
         return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    if not (math.isfinite(fa) and math.isfinite(fm) and math.isfinite(fb)):
-        raise DomainError(f"integrand is not finite on [{a!r}, {b!r}]")
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adapt_simpson(f, a, b, fa, fm, fb, whole, tol, max_depth)
 
+    def total(x: np.ndarray) -> float:
+        fx = np.asarray(f(x), dtype=float)
+        if fx.shape != x.shape or not np.isfinite(fx).all():
+            raise DomainError(f"integrand must return one finite value per point on [{a!r}, {b!r}]")
+        return fx.sum()
 
-def _adapt_simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    if not (math.isfinite(flm) and math.isfinite(frm) and math.isfinite(fm)):
-        raise DomainError(f"integrand is not finite inside [{a!r}, {b!r}]")
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise ToleranceNotMet(f"quadrature tolerance {tol!r} not met on [{a!r}, {b!r}]")
-    return _adapt_simpson(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adapt_simpson(
-        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
+    h = b - a
+    row = [0.5 * h * total(np.array([a, b], dtype=float))]
+    for k in range(20):
+        h *= 0.5
+        new = [0.5 * row[0] + h * total(a + h * np.arange(1, 2**(k + 1), 2))]
+        for j, prev in enumerate(row, 1):
+            new.append(new[-1] + (new[-1] - prev) / (4.0**j - 1.0))
+        if abs(new[-1] - row[-1]) <= tol:
+            return float(new[-1])
+        row = new
+    raise ToleranceNotMet(f"quadrature tolerance {tol!r} not met on [{a!r}, {b!r}]")
 
 
 @dataclass(frozen=True)
@@ -506,7 +502,8 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-12,
     return roots, RootStats(brackets=n, iterations=iterations, evaluations=evaluations)
 
 
-def derivative(f, x: float, h: float = 1e-4):
-    """Fourth-order central difference df/dx; f may be real or complex valued."""
-    return (f(x - 2 * h) - 8.0 * f(x - h) + 8.0 * f(x + h) - f(x + 2 * h)) / (12.0 * h)
-
+def derivative(f: Callable[[np.ndarray], np.ndarray], x: float, h: float = 1e-4):
+    """Fourth-order central difference df/dx from one call of ``f``, real or complex valued."""
+    # differenced as Python scalars: numpy's complex division rounds differently
+    f2l, f1l, f1r, f2r = f(x + h * np.array([-2.0, -1.0, 1.0, 2.0])).tolist()
+    return (f2l - 8.0 * f1l + 8.0 * f1r - f2r) / (12.0 * h)

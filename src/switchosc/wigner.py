@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classical import amplitude
 from .errors import DomainError, NotNormalized
 from .frequency import OscParams
-from .quantum import CovarianceState, FirstMoments, first_moments, second_moments
+from .quantum import CovarianceState, FirstMoments, first_moments_of, second_moments_of
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,9 @@ def wigner_grid(t: float, z: complex, p: OscParams,
         raise DomainError(f"resolution must be at least 16 per axis, got {resolution!r}")
     if not all(hw >= 3.0 and math.isfinite(hw) for hw in half_widths):
         raise DomainError(f"half widths must be finite and at least 3 sigma, got {half_widths!r}")
-    fm = first_moments(z, t, p)
-    cov = second_moments(t, p)
+    amp = amplitude([t], p)
+    fm = FirstMoments(*(v.item() for v in first_moments_of(z, *amp, p)))
+    cov = CovarianceState(*(v.item() for v in second_moments_of(*amp, p)))
     s_q = math.sqrt(cov.sq2)
     s_p = math.sqrt(cov.sp2)
     q_axis = np.linspace(fm.q_mean - hw_q * s_q, fm.q_mean + hw_q * s_q, n_q)

@@ -36,7 +36,7 @@ TJ = FIG.switch_end
 
 
 def _switch_integrand(p: OscParams):
-    return lambda s: 1.0 / (1.0 / p.omega + p.alpha * math.cos(p.omega * s) ** 2)
+    return lambda s: 1.0 / (1.0 / p.omega + p.alpha * np.cos(p.omega * s) ** 2)
 
 
 class TestPhaseIntegral:

@@ -350,13 +350,28 @@ class TestNonFiniteOutput:
           "--format", "json"], "sigma_q2"),
         (["phase-diagram", "--omega", "1e-300", "--z-re", "1e200", "--samples", "3"], "q_mean"),
         (["wigner", "--omega", "1e-300", "--z-re", "1e200", "--grid-n", "16"], "q"),
-    ], ids=["moments-csv", "moments-json", "phase-diagram", "wigner"])
+        (["validate", "--omega", "1e-307", "--mass", "1e-5", "--alpha", "0", "--grid-n", "16"],
+         "phase_space_normalization_prefactor.evidence.grid_integral_computed"),
+        (["validate", "--omega", "1e-307", "--mass", "1e-5", "--alpha", "0", "--grid-n", "16",
+          "--format", "json"], "phase_space_normalization_prefactor.evidence.grid_integral_computed"),
+    ], ids=["moments-csv", "moments-json", "phase-diagram", "wigner", "validate-text",
+            "validate-json"])
     def test_first_non_finite_column_is_named(self, capsys, argv, column):
         # warnings are errors under pytest, so this also checks that numpy's stay silent
         code, out, err = run(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == f"error: output {column} is not finite: the parameters leave the range of doubles\n"
+
+    def test_validate_report_is_not_written(self, capsys, tmp_path):
+        path = tmp_path / "report.json"
+        code, out, err = run(capsys, "validate", "--omega", "1e-307", "--mass", "1e-5",
+                             "--alpha", "0", "--grid-n", "16", "--format", "json",
+                             "--out", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: output ")
+        assert not path.exists()
 
 
 class TestValidate:
@@ -421,6 +436,14 @@ class TestValidate:
         assert code == 0
         inst = {c["name"]: c for c in json.loads(out)["checks"]}["coherent_instants"]
         assert inst["verdict"].startswith(verdict)
+
+    def test_scan_without_events_has_no_computed_value(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "coherence_scan",
+                            lambda p, t_lo, t_hi: CoherenceScanResult(False, ()))
+        code, out, _ = run(capsys, "validate", "--format", "json")
+        assert code == 0
+        inst = {c["name"]: c for c in json.loads(out)["checks"]}["coherent_instants"]
+        assert inst["computed_value"] is None
 
 
 class TestConfigFile:

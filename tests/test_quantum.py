@@ -25,7 +25,7 @@ from switchosc import (
 from switchosc import quantum
 from switchosc.classical import amplitude, envelope_of
 from switchosc.numerics import RootStats, derivative
-from switchosc.quantum import second_moments_of
+from switchosc.quantum import first_moments_of, second_moments_of
 
 from reference_numerics import scalar_find_root
 
@@ -77,8 +77,8 @@ class TestFirstMoments:
         # Ehrenfest for H = p^2/2m + m*Omega^2*q^2/2: d<q>/dt = <p>/m, d<p>/dt = -m*Omega^2*<q>
         fm = first_moments(Z, t, HEAVY)
         w2 = omega_of(t, HEAVY) ** 2
-        dq = derivative(lambda s: first_moments(Z, s, HEAVY).q_mean, t)
-        dp = derivative(lambda s: first_moments(Z, s, HEAVY).p_mean, t)
+        dq = derivative(lambda s: first_moments_of(Z, *amplitude(s, HEAVY), HEAVY)[0], t)
+        dp = derivative(lambda s: first_moments_of(Z, *amplitude(s, HEAVY), HEAVY)[1], t)
         assert dq == pytest.approx(fm.p_mean / HEAVY.m, abs=1e-9)
         assert dp == pytest.approx(-HEAVY.m * w2 * fm.q_mean, abs=1e-9)
 
@@ -120,9 +120,9 @@ class TestSecondMoments:
         # d sq2/dt = 2*cqp/m, d cqp/dt = sp2/m - m*Omega^2*sq2, d sp2/dt = -2*m*Omega^2*cqp
         cov = second_moments(t, HEAVY)
         m, w2 = HEAVY.m, omega_of(t, HEAVY) ** 2
-        dsq2 = derivative(lambda s: second_moments(s, HEAVY).sq2, t)
-        dcqp = derivative(lambda s: second_moments(s, HEAVY).cqp, t)
-        dsp2 = derivative(lambda s: second_moments(s, HEAVY).sp2, t)
+        dsq2 = derivative(lambda s: second_moments_of(*amplitude(s, HEAVY), HEAVY)[0], t)
+        dcqp = derivative(lambda s: second_moments_of(*amplitude(s, HEAVY), HEAVY)[2], t)
+        dsp2 = derivative(lambda s: second_moments_of(*amplitude(s, HEAVY), HEAVY)[1], t)
         assert dsq2 == pytest.approx(2.0 * cov.cqp / m, abs=1e-9)
         assert dcqp == pytest.approx(cov.sp2 / m - m * w2 * cov.sq2, abs=1e-9)
         assert dsp2 == pytest.approx(-2.0 * m * w2 * cov.cqp, abs=1e-9)

@@ -41,6 +41,8 @@ EDGE_CASES = (
     ("profile", "--samples=1"),
     ("coherence", "--t0=0"),
     ("epsilon", "--alpha=2"),
+    ("validate", "--omega=1e-307", "--mass=1e-5", "--alpha=0", "--format=csv", "--grid-n=16"),
+    ("validate", "--omega=1e-307", "--mass=1e-5", "--alpha=0", "--format=json", "--grid-n=16"),
 )
 
 
