@@ -22,9 +22,10 @@ import numpy as np
 
 from .classical import amplitude, modulus, wronskian_of
 from .errors import DomainError, RangeError, SwitchOscError
-from .frequency import OscParams, omega_profile
-from .numerics import derivative, integrate_ode, quadrature
-from .quantum import MAX_SAMPLES, coherence_scan, conserved_pair_of, first_moments_of, second_moments_of
+from .frequency import OscParams, omega_profile, require_resolved
+from .numerics import derivative, find_root, integrate_ode, quadrature
+from .quantum import (MAX_SAMPLES, coherence_scan, conserved_pair_of, envelope_slope,
+                      first_moments_of, second_moments_of, slope_sign_changes)
 from .wigner import format_float, grid_integral, grid_to_csv, grid_to_json, wigner_grid
 
 _FLOAT_KEYS = {"alpha", "omega", "mass", "hbar", "z_re", "z_im", "t0", "t1", "t", "n_sigma"}
@@ -183,6 +184,11 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     t = _pick(args.t, file_vals, "t", 0.0)
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
+    if args.command != "coherence":
+        # the scan checks its own window against the post-switch frequency
+        quarter = math.pi / (2.0 * params.initial_frequency)
+        for name, value in (("t0", t0), ("t1", t1), ("t", t)):
+            require_resolved(name, value, quarter)
     n_sigma = _pick(args.n_sigma, file_vals, "n_sigma", 6.0)
     grid_n = int(_pick(args.grid_n, file_vals, "grid_n", 128))
     if not (n_sigma >= 3.0 and math.isfinite(n_sigma)):
@@ -434,7 +440,8 @@ def build_validation_report(cfg: RunConfig) -> dict:
 
     # -- coherent instants ----------------------------------------------------
     w_after = p.final_frequency
-    scan = coherence_scan(p, t_j, t_j + 3.0 * (2.0 * math.pi / w_after))
+    t_lo, t_hi = t_j, t_j + 3.0 * (2.0 * math.pi / w_after)
+    scan = coherence_scan(p, t_lo, t_hi)
     if scan.always_coherent:
         checks.append({
             "name": "coherent_instants",
@@ -450,17 +457,24 @@ def build_validation_report(cfg: RunConfig) -> dict:
         })
     else:
         events_t = [e.t for e in scan.events]
-        spacings = [b - a for a, b in zip(events_t, events_t[1:])]
-        envelope_spacing = math.pi / (2.0 * w_after)
-        if spacings and all(abs(s - envelope_spacing) <= 1e-9 * envelope_spacing for s in spacings):
+        spacing = math.pi / (2.0 * w_after)
+        # the zeros searched without the scan's formula, edge zeros dropped as the scan drops them
+        ts, changes = slope_sign_changes(p, t_lo, t_hi)
+        found = find_root(lambda x: envelope_slope(x, p), ts[changes], ts[changes + 1], tol=1e-13)
+        found_t = found[(found - t_lo > 1e-6 * spacing) & (t_hi - found > 1e-6 * spacing)].tolist()
+        found_offsets = [min(abs(f - e) for e in events_t) for f in found_t] if events_t else []
+        spacings = [b - a for a, b in zip(found_t, found_t[1:])]
+        if (len(found_t) == len(events_t) and all(d <= 1e-9 * spacing for d in found_offsets)
+                and spacings and all(abs(s - spacing) <= 1e-9 * spacing for s in spacings)):
             verdict = ("cofluctuation zeros follow the post-switch envelope spacing "
                        "pi/(2*omega*sqrt(1-alpha*omega)); the dimensionless variances "
                        "there are sqrt(1-alpha*omega)^(+-1), not one, so the instants "
                        "are squeezing-balanced rather than strictly coherent, and the "
                        "reference instants differ as reported")
         else:
-            verdict = ("inconclusive: the zeros found are not spaced by the post-switch "
-                       "envelope spacing to 1e-9 relative")
+            verdict = ("inconclusive: the zeros found by root search do not match the "
+                       "scan's instants to 1e-9 of the post-switch envelope spacing, or "
+                       "are not spaced by it to 1e-9 relative")
         checks.append({
             "name": "coherent_instants",
             "reference_value": 1.0,
@@ -472,8 +486,10 @@ def build_validation_report(cfg: RunConfig) -> dict:
                 "sq_ratios": [e.sq_ratio for e in scan.events],
                 "sp_ratios": [e.sp_ratio for e in scan.events],
                 "cqp_at_events": [e.cqp for e in scan.events],
+                "found_t": found_t,
+                "found_offsets": found_offsets,
                 "found_spacing": spacings,
-                "envelope_spacing": envelope_spacing,
+                "envelope_spacing": spacing,
                 "reference_spacing": math.pi / (4.0 * p.initial_frequency),
                 "expected_sq_ratio": [math.sqrt(1.0 - aw), 1.0 / math.sqrt(1.0 - aw)],
             },

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 
 def _derived():
@@ -192,3 +192,11 @@ def omega_profile(ts, p: OscParams) -> np.ndarray:
     t, before, after = region_masks(ts, p)
     c = np.where(before, 1.0, np.where(after, 0.0, np.cos(p.omega * t)))
     return _omega_from_cos(c, p)
+
+
+def require_resolved(name: str, t: float, quarter_period: float) -> None:
+    """Raise RangeError, naming ``name``, if the doubles near ``t`` lie more
+    than 1e-9 of ``quarter_period`` (pi/(2*w) for a frequency w) apart."""
+    if math.ulp(t) > 1e-9 * quarter_period:
+        raise RangeError(f"doubles near {name}={t!r} lie {math.ulp(t)!r} apart, coarser than 1e-9 of "
+                         f"the quarter period {quarter_period!r}: times cannot be resolved there")

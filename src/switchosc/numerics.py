@@ -410,22 +410,8 @@ def quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     raise ToleranceNotMet(f"quadrature tolerance {tol!r} not met on [{a!r}, {b!r}]")
 
 
-@dataclass(frozen=True)
-class RootStats:
-    """What one :func:`find_root` call did.
-
-    ``brackets`` is the number of lanes searched, ``iterations`` the secant
-    and bisection steps summed over the lanes, and ``evaluations`` the calls
-    of ``f``, each on an array (the bracket ends take one).
-    """
-
-    brackets: int
-    iterations: int
-    evaluations: int
-
-
 def find_root(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-12,
-              max_iter: int = 200) -> tuple[np.ndarray, RootStats]:
+              max_iter: int = 200) -> np.ndarray:
     """Locate a zero of ``f`` inside each sign-changing bracket [lo[k], hi[k]].
 
     ``f`` maps a float array to an array of its values.  Every lane runs the
@@ -434,10 +420,7 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-12,
     and the lane ends once its bracket is within 2*``tol`` or, when ``tol``
     is finer than the spacing of doubles near the root, once its ends are
     adjacent doubles.  Each iteration calls ``f`` once, on the lanes still
-    searching.
-
-    Returns:
-        the roots, in the order of the brackets, and the :class:`RootStats`.
+    searching.  Returns the roots, in the order of the brackets.
 
     Raises:
         RangeError: unless ``lo`` and ``hi`` are 1-d of one length with
@@ -456,7 +439,6 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-12,
     roots = np.empty(n)
     ends = f(np.concatenate((a, b)))
     fa, fb = ends[:n], ends[n:]
-    evaluations, iterations = 1, 0
     # an end where f vanishes is the root (the lower end first)
     hit_a = fa == 0.0
     hit_b = (fb == 0.0) & ~hit_a
@@ -487,8 +469,6 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-12,
             x = m
         use_secant = not use_secant
         fx = f(x)
-        evaluations += 1
-        iterations += live.size
         zero = fx == 0.0
         if zero.any():
             roots[live[zero]] = x[zero]
@@ -499,7 +479,7 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-12,
         b, fb = np.where(lower, b, x), np.where(lower, fb, fx)
     if live.size:
         raise ToleranceNotMet(f"root not located to {tol!r} within {max_iter} iterations")
-    return roots, RootStats(brackets=n, iterations=iterations, evaluations=evaluations)
+    return roots
 
 
 def derivative(f: Callable[[np.ndarray], np.ndarray], x: float, h: float = 1e-4):

@@ -17,11 +17,8 @@ import numpy as np
 
 from .classical import amplitude, envelope_of, epsilon
 from .errors import RangeError
-from .frequency import OscParams
-from .numerics import RootStats, find_root
+from .frequency import OscParams, require_resolved
 
-# the stats of a scan that polished no bracket
-NO_SEARCH = RootStats(brackets=0, iterations=0, evaluations=0)
 # the most points of a coherence scan's grid; the command line caps --samples
 # at the same number
 MAX_SAMPLES = 1_000_001
@@ -88,16 +85,13 @@ class CoherenceScanResult:
     Where the post-switch envelope is flat (after_re == after_im: alpha = 0,
     or 1 - alpha*omega rounds to 1) the cofluctuation vanishes identically;
     ``always_coherent`` is then set and the uniform ratios are reported
-    instead of discrete events.  ``stats`` is what the root search
-    did: the brackets polished, the lane iterations and the evaluations of
-    the envelope slope (all zero when nothing was polished).
+    instead of discrete events.
     """
 
     always_coherent: bool
     events: tuple[CoherenceEvent, ...]
     sq_ratio: float | None = None
     sp_ratio: float | None = None
-    stats: RootStats = NO_SEARCH
 
 
 def invariant_coefficients(t: float, p: OscParams) -> InvariantCoefficients:
@@ -169,22 +163,47 @@ def second_moments(t: float, p: OscParams) -> CovarianceState:
     return CovarianceState(sq2=sq2.item(), sp2=sp2.item(), cqp=cqp.item())
 
 
-def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResult:
-    """Find all cofluctuation zeros in [t_lo, t_hi] of the post-switch region.
+def envelope_slope(ts, p: OscParams) -> np.ndarray:
+    """d|eps|/dt at every time of the float array ``ts``."""
+    return envelope_of(*amplitude(ts, p))[1]
 
-    Zeros of c_qp coincide with envelope extrema, so the scan brackets sign
-    changes of the envelope slope on a grid and polishes all the brackets in
-    one lane-wise :func:`switchosc.numerics.find_root` call, each iteration
-    evaluating the slope on the array kernel.
-    Zeros sitting exactly on a window edge are ambiguous and dropped.  Each
-    event also records the nearest reference coherent-instant prediction and
-    the offset from it, as diagnostics.
+
+def slope_sign_changes(p: OscParams, t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """A grid ``ts`` of [t_lo, t_hi], 16 points per event spacing, and the cells
+    k (from ts[k] to ts[k + 1]) where exactly one end has a rising envelope.
+
+    Raises:
+        RangeError: before allocating a grid of more than ``MAX_SAMPLES`` points.
+    """
+    n = max(8, math.ceil((t_hi - t_lo) / (math.pi / (2.0 * p.final_frequency) / 16.0)))
+    if n + 1 > MAX_SAMPLES:
+        raise RangeError(
+            f"the scan grid of [{t_lo!r}, {t_hi!r}] would hold {n + 1} points, "
+            f"more than the cap of {MAX_SAMPLES}"
+        )
+    ts = t_lo + np.arange(n + 1) * (t_hi - t_lo) / n
+    rising = envelope_slope(ts, p) > 0.0
+    return ts, np.flatnonzero(rising[:-1] != rising[1:])
+
+
+def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResult:
+    """All cofluctuation zeros in [t_lo, t_hi] of the post-switch region.
+
+    After the switch |eps|^2 = after_re^2*cos^2(w*dt) + after_im^2*sin^2(w*dt),
+    with w the final frequency and dt = t - switch_end, so the zeros of c_qp
+    (the envelope extrema) are exactly switch_end + k*pi/(2*w).  Those more
+    than 1e-6 of that spacing inside the window are the events; one on an
+    edge is ambiguous.  A self-check that does not rest on the formula guards
+    them: on the grid of :func:`slope_sign_changes`, each event needs a sign
+    change in its own cell or the next, and each sign change an instant within
+    one cell.  Each event also records the nearest reference coherent-instant
+    prediction and the offset from it, as diagnostics.
 
     Raises:
         RangeError: if ``t_lo`` precedes the switch end, t_hi <= t_lo, or,
             where the envelope is not flat, the doubles near ``t_hi`` are more
-            than 1e-9 of the event spacing apart or the grid, 16 points per
-            event spacing, would exceed ``MAX_SAMPLES`` points.
+            than 1e-9 of the event spacing apart, the grid would exceed
+            ``MAX_SAMPLES`` points, or the self-check fails.
     """
     t_j = p.switch_end
     if t_lo < t_j:
@@ -203,52 +222,27 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
             sp_ratio=cov.sp2 / (p.m * w * half),
         )
 
-    spacing = math.pi / (2.0 * p.final_frequency)
-    # the envelope slope's zero cannot be placed closer than about one ulp of t
-    if math.ulp(t_hi) > 1e-9 * spacing:
-        raise RangeError(
-            f"doubles near t_hi={t_hi!r} lie {math.ulp(t_hi)!r} apart, coarser than "
-            f"1e-9 of the event spacing {spacing!r}: events cannot be resolved there"
-        )
+    spacing = math.pi / (2.0 * w)
+    require_resolved("t_hi", t_hi, spacing)  # the doubles are coarsest at t_hi
+    ts, changes = slope_sign_changes(p, t_lo, t_hi)
+    # the instants of the window and one more on each side, and their grid cells
+    k = np.arange(math.floor((t_lo - t_j) / spacing), math.ceil((t_hi - t_j) / spacing) + 1)
+    instants = t_j + k * spacing
+    cells = np.searchsorted(ts, instants, side="right") - 1
+    keep = (instants - t_lo > 1e-6 * spacing) & (t_hi - instants > 1e-6 * spacing)
+    roots = instants[keep]
+    lost = roots[~np.isin(cells[keep], np.concatenate((changes - 1, changes, changes + 1)))]
+    if lost.size:
+        raise RangeError(f"self-check failed: the envelope slope does not change sign "
+                         f"within one grid cell of the instant {lost[0].item()!r}")
+    stray = ts[changes[~np.isin(changes, np.concatenate((cells - 1, cells, cells + 1)))]]
+    if stray.size:
+        raise RangeError(f"self-check failed: the envelope slope changes sign at "
+                         f"{stray[0].item()!r}, more than one grid cell from every instant")
+
     pred_spacing = math.pi / (4.0 * p.initial_frequency)
-
-    def slope(x: np.ndarray) -> np.ndarray:
-        return envelope_of(*amplitude(x, p))[1]
-
-    n = max(8, math.ceil((t_hi - t_lo) / (spacing / 16.0)))
-    if n + 1 > MAX_SAMPLES:
-        raise RangeError(
-            f"the scan grid of [{t_lo!r}, {t_hi!r}] would hold {n + 1} points, "
-            f"more than the cap of {MAX_SAMPLES}"
-        )
-    ts = t_lo + np.arange(n + 1) * (t_hi - t_lo) / n
-    values = slope(ts)
-    # a zero on the grid is an event; a sign change between two nonzero
-    # neighbours is a bracket, and all brackets are polished at once
-    zeros = np.flatnonzero(values == 0.0)
-    f0, f1 = values[:-1], values[1:]
-    brackets = np.flatnonzero((f0 != 0.0) & (f1 != 0.0) & ((f0 > 0.0) != (f1 > 0.0)))
-    stats, polished = NO_SEARCH, np.empty(0)
-    if brackets.size:
-        polished, stats = find_root(slope, ts[brackets], ts[brackets + 1], tol=1e-13)
-    # bracket k's root lies in [ts[k], ts[k + 1]], so sorting keeps grid order
-    roots = np.sort(np.concatenate((ts[zeros], polished)))
-    edge = 1e-6 * spacing
-    roots = roots[(roots - t_lo > edge) & (t_hi - roots > edge)]
-
+    t_pred = t_j + (np.maximum(1.0, np.round((roots - t_j) / pred_spacing - 0.5)) + 0.5) * pred_spacing
     sq2, sp2, cqp = second_moments_of(*amplitude(roots, p), p)
-    events = []
-    for r, sq2_r, sp2_r, cqp_r in zip(roots.tolist(), sq2.tolist(), sp2.tolist(), cqp.tolist()):
-        n_near = max(1, round((r - t_j) / pred_spacing - 0.5))
-        t_pred = t_j + (n_near + 0.5) * pred_spacing
-        events.append(
-            CoherenceEvent(
-                t=r,
-                sq_ratio=p.m * w * sq2_r / half,
-                sp_ratio=sp2_r / (p.m * w * half),
-                cqp=cqp_r,
-                t_predicted=t_pred,
-                offset=abs(r - t_pred),
-            )
-        )
-    return CoherenceScanResult(always_coherent=False, events=tuple(events), stats=stats)
+    columns = (roots, p.m * w * sq2 / half, sp2 / (p.m * w * half), cqp, t_pred, np.abs(roots - t_pred))
+    events = tuple(CoherenceEvent(*row) for row in zip(*(c.tolist() for c in columns)))
+    return CoherenceScanResult(always_coherent=False, events=events)

@@ -191,8 +191,8 @@ class TestEnvelope:
     def test_post_switch_extremum_located_by_root_finder(self):
         # first post-switch envelope extremum: switch end + quarter period
         expected = TJ + math.pi / (2.0 * math.sqrt(0.5))
-        roots, _ = find_root(lambda t: envelope_of(*amplitude(t, FIG))[1], [expected - 0.8],
-                             [expected + 0.8], tol=1e-12)
+        roots = find_root(lambda t: envelope_of(*amplitude(t, FIG))[1], [expected - 0.8],
+                          [expected + 0.8], tol=1e-12)
         assert roots.shape == (1,)
         assert roots[0] == pytest.approx(expected, abs=1e-10)
 

@@ -1,14 +1,18 @@
 """Command-line surface: table contents, formats, config handling, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import switchosc
 from switchosc import OscParams, conserved_pair, epsilon, first_moments, omega_of, second_moments
@@ -331,6 +335,26 @@ class TestOutOfDomainArguments:
         assert resolve("profile", "--samples", str(MAX_SAMPLES)).samples == MAX_SAMPLES
         assert resolve("wigner", "--grid-n", str(MAX_GRID_N)).grid_n == MAX_GRID_N
 
+    @pytest.mark.parametrize("argv, name", [
+        (["epsilon", "--t0", "1e20", "--t1", "1.0000000000001e20", "--samples", "3"], "t0=1e+20"),
+        (["profile", "--t0=0", "--t1=1e9", "--samples", "3"], "t1=1000000000.0"),
+        (["wigner", "--t", "1e20", "--grid-n", "16"], "t=1e+20"),
+        (["validate", "--t0=-1e12", "--grid-n", "16"], "t0=-1000000000000.0"),
+        # a fast switch shortens the quarter period that the times must resolve
+        (["moments", "--omega=1e7", "--alpha=0", "--samples", "3"], "t0=-5.0"),
+    ])
+    def test_times_the_doubles_cannot_resolve_are_refused(self, capsys, argv, name):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"doubles near {name} " in err and "cannot be resolved" in err
+
+    def test_resolved_times_are_accepted(self):
+        # near 1e6 the doubles lie 1.2e-10 apart, within 1e-9 of the quarter period 1.78
+        cfg = _resolve_config(_build_parser().parse_args(["epsilon", "--t0=-1e6", "--t1=1e6"]))
+        assert (cfg.t0, cfg.t1) == (-1e6, 1e6)
+
     @pytest.mark.parametrize("command", ["phase-diagram", "wigner", "validate"])
     @pytest.mark.parametrize("label", [["--z-re", "nan"], ["--z-im", "inf"], ["--z-re=-inf"]])
     def test_non_finite_state_label_rejected(self, capsys, command, label):
@@ -338,6 +362,32 @@ class TestOutOfDomainArguments:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "z_re and z_im" in err
+
+
+COMMANDS = ("profile", "epsilon", "phase-diagram", "moments", "wigner", "coherence", "validate")
+# subnormals, the far ends of the normal range, far-out times and the non-finite values
+EXTREME_FLOATS = (5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300, -1e-300, 1e20, -1e20,
+                  math.nan, math.inf, -math.inf)
+FLOAT_FLAGS = ("alpha", "omega", "mass", "hbar", "z-re", "z-im", "t0", "t1", "t", "n-sigma")
+NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=6, deadline=None)
+@given(flags=st.dictionaries(st.sampled_from(FLOAT_FLAGS), st.sampled_from(EXTREME_FLOATS),
+                             min_size=1, max_size=3))
+def test_extreme_floats_exit_cleanly_or_with_one_error_line(command, flags):
+    argv = [command, "--samples", "3", "--grid-n", "16", *(f"--{k}={v!r}" for k, v in flags.items())]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert not NON_FINITE.search(out.getvalue())
+    else:
+        assert code in (1, 2)
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestNonFiniteOutput:
@@ -395,6 +445,10 @@ class TestValidate:
         inst = checks["coherent_instants"]
         assert len(inst["evidence"]["events_t"]) >= 4
         assert inst["evidence"]["sq_ratios"][0] == pytest.approx(1.4142135623730951, abs=1e-9)
+        # the searched zeros sit on the closed-form instants
+        assert len(inst["evidence"]["found_t"]) == len(inst["evidence"]["events_t"])
+        assert max(inst["evidence"]["found_offsets"]) <= 1e-9 * inst["evidence"]["envelope_spacing"]
+        assert inst["verdict"].startswith("cofluctuation zeros follow")
 
     def test_text_report_prints_verdicts(self, capsys):
         code, out, _ = run(capsys, "validate")
@@ -417,17 +471,23 @@ class TestValidate:
         assert inst["evidence"]["always_coherent"] is True
         assert inst["verdict"].startswith("degenerate")
 
-    # the envelope spacing at the default parameters is pi/(2*sqrt(0.5))
+    # the envelope spacing at the default parameters is pi/(2*sqrt(0.5)); the
+    # slope's zeros in validate's window lie on TJ + k*spacing, k = 1..11
     @pytest.mark.parametrize("times, verdict", [
         ([], "inconclusive"),
         ([3.0], "inconclusive"),
         ([3.0, 3.1, 3.2], "inconclusive"),
         ([3.0, 5.2214415, 7.44], "inconclusive"),
-        ([3.0, 3.0 + math.pi / math.sqrt(2.0), 3.0 + 2.0 * math.pi / math.sqrt(2.0)],
+        # spaced by the envelope spacing, but off the zeros the search finds
+        ([3.0 + k * math.pi / math.sqrt(2.0) for k in range(11)], "inconclusive"),
+        # on the zeros, but one is missing
+        ([math.pi / 2.0 + k * math.pi / math.sqrt(2.0) for k in range(1, 11)], "inconclusive"),
+        ([math.pi / 2.0 + k * math.pi / math.sqrt(2.0) for k in range(1, 12)],
          "cofluctuation zeros follow"),
-    ], ids=["none", "one", "grid-spaced", "one-off", "envelope-spaced"])
-    def test_coherent_instants_verdict_rests_on_the_spacing(self, capsys, monkeypatch, times,
-                                                            verdict):
+    ], ids=["none", "one", "grid-spaced", "one-off", "envelope-spaced", "one-missing",
+            "on-the-zeros"])
+    def test_coherent_instants_verdict_rests_on_the_searched_zeros(self, capsys, monkeypatch,
+                                                                   times, verdict):
         events = tuple(CoherenceEvent(t=t, sq_ratio=1.0, sp_ratio=1.0, cqp=0.0, t_predicted=t,
                                       offset=0.0) for t in times)
         monkeypatch.setattr(cli, "coherence_scan",
@@ -436,6 +496,7 @@ class TestValidate:
         assert code == 0
         inst = {c["name"]: c for c in json.loads(out)["checks"]}["coherent_instants"]
         assert inst["verdict"].startswith(verdict)
+        assert len(inst["evidence"]["found_t"]) == 11
 
     def test_scan_without_events_has_no_computed_value(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "coherence_scan",

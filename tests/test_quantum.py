@@ -24,7 +24,7 @@ from switchosc import (
 )
 from switchosc import quantum
 from switchosc.classical import amplitude, envelope_of
-from switchosc.numerics import RootStats, derivative
+from switchosc.numerics import derivative
 from switchosc.quantum import first_moments_of, second_moments_of
 
 from reference_numerics import scalar_find_root
@@ -230,43 +230,42 @@ class TestCoherenceScan:
             coherence_scan(FIG, 1e15, 1.00000000000003e15)
 
 
-def _reference_scan(p: OscParams, t_lo: float, t_hi: float) -> list[tuple]:
-    """The scan bracket by bracket, polishing each root with the scalar reference.
+def _one_lane(p: OscParams, x: float):
+    amp = amplitude(np.array([x]), p)
+    return envelope_of(*amp)[1][0], second_moments_of(*amp, p)
 
-    The envelope slope and the moments come from one-lane calls of the array
-    kernel, so each lane sees the doubles the lane-wise search sees.
-    """
 
-    def one_lane(x: float):
-        amp = amplitude(np.array([x]), p)
-        return envelope_of(*amp)[1][0], second_moments_of(*amp, p)
-
+def _reference_event(p: OscParams, r: float) -> tuple:
+    """The event columns at the instant ``r``, from a one-lane amplitude call
+    and scalar arithmetic, one event at a time."""
     t_j, half = p.switch_end, 0.5 * p.hbar
-    spacing = math.pi / (2.0 * p.final_frequency)
     pred_spacing = math.pi / (4.0 * p.initial_frequency)
+    sq2, sp2, cqp = (float(v[0]) for v in _one_lane(p, r)[1])
+    w = omega_of(r, p)
+    n_near = max(1, round((r - t_j) / pred_spacing - 0.5))
+    t_pred = t_j + (n_near + 0.5) * pred_spacing
+    return r, p.m * w * sq2 / half, sp2 / (p.m * w * half), cqp, t_pred, abs(r - t_pred)
+
+
+def _reference_scan(p: OscParams, t_lo: float, t_hi: float) -> list[tuple]:
+    """The scan as a root search: grid brackets of the envelope slope, each
+    polished with the scalar reference, independent of the closed-form instants."""
+    spacing = math.pi / (2.0 * p.final_frequency)
     n = max(8, math.ceil((t_hi - t_lo) / (spacing / 16.0)))
     grid = (t_lo + np.arange(n + 1) * (t_hi - t_lo) / n).tolist()
-    values = [float(one_lane(x)[0]) for x in grid]
+    values = [float(_one_lane(p, x)[0]) for x in grid]
     roots = []
     for i in range(n):
         f0, f1 = values[i], values[i + 1]
         if f0 == 0.0:
             roots.append(grid[i])
         elif f1 != 0.0 and (f0 > 0.0) != (f1 > 0.0):
-            slope = lambda x: float(one_lane(x)[0])
+            slope = lambda x: float(_one_lane(p, x)[0])
             roots.append(scalar_find_root(slope, (grid[i], grid[i + 1]), tol=1e-13))
     if values[-1] == 0.0:
         roots.append(grid[-1])
     edge = 1e-6 * spacing
-    events = []
-    for r in (r for r in roots if r - t_lo > edge and t_hi - r > edge):
-        sq2, sp2, cqp = (float(v[0]) for v in one_lane(r)[1])
-        w = omega_of(r, p)
-        n_near = max(1, round((r - t_j) / pred_spacing - 0.5))
-        t_pred = t_j + (n_near + 0.5) * pred_spacing
-        events.append((r, p.m * w * sq2 / half, sp2 / (p.m * w * half), cqp, t_pred,
-                       abs(r - t_pred)))
-    return events
+    return [_reference_event(p, r) for r in roots if r - t_lo > edge and t_hi - r > edge]
 
 
 def _long_window(aw: float) -> tuple[OscParams, float, float]:
@@ -282,23 +281,54 @@ class TestCoherenceScanMatchesScalarReference:
         _long_window(1e-12),
         _long_window(1.0 - 1e-9),
     ], ids=["from-switch-end", "past-1024", "benchmark-like", "aw-1e-12", "aw-1-1e-9"])
-    def test_events_equal_the_reference_bit_for_bit(self, p, t_lo, t_hi):
+    def test_closed_form_events_match_the_searched_reference(self, p, t_lo, t_hi):
         res = coherence_scan(p, t_lo, t_hi)
         want = _reference_scan(p, t_lo, t_hi)
-        got = [(e.t, e.sq_ratio, e.sp_ratio, e.cqp, e.t_predicted, e.offset) for e in res.events]
-        assert len(got) >= 4
-        assert [tuple(map(float.hex, g)) for g in got] == [tuple(map(float.hex, w)) for w in want]
-        assert res.stats.brackets >= len(got)
+        assert len(res.events) >= 4
+        assert len(res.events) == len(want)
+        spacing = math.pi / (2.0 * p.final_frequency)
+        for e, w in zip(res.events, want):
+            assert abs(e.t - w[0]) <= 1e-12 * max(1.0, spacing)
+            assert e.t == p.switch_end + round((e.t - p.switch_end) / spacing) * spacing
+            assert (e.sq_ratio, e.sp_ratio) == pytest.approx(w[1:3], rel=1e-9)
+            # the columns at the instant are the one-event-at-a-time ones, bit for bit
+            got = (e.t, e.sq_ratio, e.sp_ratio, e.cqp, e.t_predicted, e.offset)
+            assert tuple(map(float.hex, got)) == tuple(map(float.hex, _reference_event(p, e.t)))
 
-    def test_stats_of_a_fixed_scan(self):
-        # six brackets: the first sits on the window end and is dropped as an edge zero
-        res = coherence_scan(FIG, TJ, TJ + 12.0)
-        assert len(res.events) == 5
-        assert res.stats == RootStats(brackets=6, iterations=156, evaluations=41)
+    def test_window_shorter_than_the_spacing_has_no_events(self):
+        assert coherence_scan(FIG, TJ + 0.5, TJ + 1.5).events == ()
 
-    def test_no_search_without_brackets(self):
-        # a window shorter than the event spacing holds no sign change
-        res = coherence_scan(FIG, TJ + 0.5, TJ + 1.5)
-        assert res.events == ()
-        assert res.stats == RootStats(brackets=0, iterations=0, evaluations=0)
-        assert coherence_scan(FLAT, FLAT.switch_end, 10.0).stats == res.stats
+
+def _slope_with(monkeypatch, lo: float, hi: float) -> None:
+    """Make the scan's envelope slope -1 on (lo, hi), which moves its sign changes."""
+    slope = quantum.envelope_slope
+
+    def bent(ts, p):
+        ts = np.asarray(ts, dtype=float)
+        return np.where((ts > lo) & (ts < hi), -1.0, slope(ts, p))
+
+    monkeypatch.setattr(quantum, "envelope_slope", bent)
+
+
+class TestCoherenceScanSelfCheck:
+    SPACING = math.pi / (2.0 * FIG.final_frequency)
+
+    def test_instant_without_a_sign_change_is_refused(self, monkeypatch):
+        # the slope turns from negative to positive at TJ + 2*spacing; held at
+        # -1 up to half a spacing past it, it turns only there, 8 cells away
+        target = TJ + 2.0 * self.SPACING
+        _slope_with(monkeypatch, TJ + 1.5 * self.SPACING, target + 0.5 * self.SPACING)
+        with pytest.raises(RangeError, match=f"instant {target!r}"):
+            coherence_scan(FIG, TJ, TJ + 12.0)
+
+    def test_sign_change_away_from_every_instant_is_refused(self, monkeypatch):
+        # TJ + 2.5*spacing lies half a spacing from the nearest instants, where
+        # the slope is far from zero; a dip there adds two sign changes
+        mid = TJ + 2.5 * self.SPACING
+        _slope_with(monkeypatch, mid - 0.1 * self.SPACING, mid + 0.1 * self.SPACING)
+        with pytest.raises(RangeError, match="more than one grid cell from every instant"):
+            coherence_scan(FIG, TJ, TJ + 12.0)
+
+    def test_unaltered_slope_passes(self, monkeypatch):
+        _slope_with(monkeypatch, 0.0, 0.0)
+        assert len(coherence_scan(FIG, TJ, TJ + 12.0).events) == 5

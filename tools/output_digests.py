@@ -11,7 +11,7 @@ moves:
 
 The set covers every subcommand at alpha*omega = 0, 0.5 and 0.97 (omega = 1),
 in both formats, at four windows or instants each, plus a few invocations
-that fail or sit at the edge of double precision.
+that fail or sit at the edge of double precision or time resolution.
 """
 
 from __future__ import annotations
@@ -43,6 +43,11 @@ EDGE_CASES = (
     ("epsilon", "--alpha=2"),
     ("validate", "--omega=1e-307", "--mass=1e-5", "--alpha=0", "--format=csv", "--grid-n=16"),
     ("validate", "--omega=1e-307", "--mass=1e-5", "--alpha=0", "--format=json", "--grid-n=16"),
+    # scans past t = 1024, where the doubles are coarser than a 1e-13 root tolerance
+    ("coherence", "--t0=1030", "--t1=1060"),
+    ("coherence", "--alpha=0.3", "--t0=1000", "--t1=1100"),
+    # a table window the doubles cannot resolve
+    ("epsilon", "--t0=1e20", "--t1=1.0000000000001e20", "--samples=3"),
 )
 
 
