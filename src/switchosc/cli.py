@@ -28,29 +28,45 @@ from .quantum import (MAX_SAMPLES, coherence_scan, conserved_pair_of, envelope_s
                       first_moments_of, second_moments_of, slope_sign_changes)
 from .wigner import format_float, grid_integral, grid_to_csv, grid_to_json, wigner_grid
 
-_FLOAT_KEYS = {"alpha", "omega", "mass", "hbar", "z_re", "z_im", "t0", "t1", "t", "n_sigma"}
-_INT_KEYS = {"samples", "grid_n"}
-_STR_KEYS = {"format", "out"}
 # size caps, checked before anything is allocated; MAX_SAMPLES comes from quantum
 MAX_GRID_N = 2048
+# (key, type, default, help) of each run setting, in the order every output
+# echoes them; _resolve_config sets the window (t0, t1) per command
+_SETTINGS = (
+    ("alpha", float, 0.5, "switch duration scale (time)"),
+    ("omega", float, 1.0, "base frequency"),
+    ("mass", float, 1.0, "oscillator mass"),
+    ("hbar", float, 1.0, "action quantum"),
+    ("z_re", float, 1.0, "Re of the state label z"),
+    ("z_im", float, 0.2, "Im of the state label z"),
+    ("t0", float, None, "start of the time range"),
+    ("t1", float, None, "end of the time range"),
+    ("samples", int, 601, f"number of uniform samples (2 to {MAX_SAMPLES})"),
+    ("format", str, "csv", "output format: csv or json"),
+    ("t", float, 0.0, "evaluation instant for the phase-space grid"),
+    ("n_sigma", float, 6.0, "grid half-width in standard deviations (>= 3)"),
+    ("grid_n", int, 128, f"grid points per axis (16 to {MAX_GRID_N})"),
+)
+# the type of each key a flag or the config file may set; the output path is not echoed
+_TYPES = {key: typ for key, typ, _, _ in _SETTINGS} | {"out": str}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: flags take precedence over the config file,
-    which takes precedence over the built-in defaults."""
+    """Fully resolved invocation: flags take precedence over the config file, which
+    takes precedence over ``_SETTINGS``. ``header`` holds the command and then each
+    setting in the order outputs echo them; ``cfg.<key>`` reads a setting from it."""
 
-    command: str
+    header: dict[str, object]
     params: OscParams
     z: complex
-    t0: float
-    t1: float
-    samples: int
-    fmt: str
     out: str | None
-    t: float
-    n_sigma: float
-    grid_n: int
+
+    def __getattr__(self, key: str):
+        try:
+            return vars(self)["header"][key]
+        except KeyError:
+            raise AttributeError(key) from None
 
 
 def _fmt_any(v) -> str:
@@ -68,26 +84,14 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared by every later one.
 
     Parsing leaves the parser unchanged, so one instance serves every
-    :func:`main` call in a process.
+    :func:`main` call in a process. Flag values stay strings here, so that
+    :func:`_convert` reads them as it reads the config file.
     """
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--alpha", type=float, help="switch duration scale (time)")
-    common.add_argument("--omega", type=float, help="base frequency")
-    common.add_argument("--mass", type=float, help="oscillator mass")
-    common.add_argument("--hbar", type=float, help="action quantum")
-    common.add_argument("--z-re", type=float, dest="z_re", help="Re of the state label z")
-    common.add_argument("--z-im", type=float, dest="z_im", help="Im of the state label z")
-    common.add_argument("--t0", type=float, help="start of the time range")
-    common.add_argument("--t1", type=float, help="end of the time range")
-    common.add_argument("--samples", type=int, help=f"number of uniform samples (2 to {MAX_SAMPLES})")
-    common.add_argument("--format", choices=("csv", "json"), dest="fmt", help="output format")
+    for key, _, _, text in _SETTINGS:
+        common.add_argument("--" + key.replace("_", "-"), help=text)
     common.add_argument("--out", help="output path (default: stdout)")
     common.add_argument("--config", help="key=value config file; flags override it")
-    common.add_argument("--t", type=float, help="evaluation instant for the phase-space grid")
-    common.add_argument("--n-sigma", type=float, dest="n_sigma",
-                        help="grid half-width in standard deviations (>= 3)")
-    common.add_argument("--grid-n", type=int, dest="grid_n",
-                        help=f"grid points per axis (16 to {MAX_GRID_N})")
 
     parser = argparse.ArgumentParser(
         prog="switchosc",
@@ -96,24 +100,24 @@ def _build_parser() -> argparse.ArgumentParser:
                     "phase-space distribution, and numerical cross-checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("profile", parents=[common], help="switched frequency over time")
-    sub.add_parser("epsilon", parents=[common], help="complex amplitude and Wronskian residual")
-    sub.add_parser("phase-diagram", parents=[common],
-                   help="mean position/momentum orbit and the conserved pair")
-    sub.add_parser("moments", parents=[common],
-                   help="second moments and the determinant-identity residual")
-    sub.add_parser("wigner", parents=[common], help="phase-space distribution on a grid")
-    sub.add_parser("coherence", parents=[common],
-                   help="scan the post-switch region for cofluctuation zeros")
-    sub.add_parser("validate", parents=[common],
-                   help="cross-check delicate closed-form constants against "
-                        "independent numerical evidence")
+    for name, (_, text) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    known = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
-    vals: dict[str, str] = {}
+def _convert(key: str, typ: type, raw: str, where: str = ""):
+    """``raw``, from a flag or from the config file at ``where``, as the ``typ`` of ``key``."""
+    if not raw:
+        raise DomainError(f"{where}{key} must not be empty")
+    try:
+        return typ(raw)
+    except ValueError:
+        article = "an" if typ is int else "a"
+        raise DomainError(f"{where}{key} must be {article} {typ.__name__}, got {raw!r}") from None
+
+
+def _read_config_file(path: str) -> dict[str, object]:
+    vals: dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -121,67 +125,44 @@ def _read_config_file(path: str) -> dict[str, str]:
                 continue
             key, sep, value = line.partition("=")
             key = key.strip()
-            if not sep or key not in known:
+            if not sep or key not in _TYPES:
                 raise DomainError(f"{path}:{ln}: expected '<key> = <value>' with a known key, got {raw.rstrip()!r}")
-            vals[key] = value.strip()
+            vals[key] = _convert(key, _TYPES[key], value.strip(), f"{path}:{ln}: ")
     return vals
 
 
-def _pick(cli_value, file_vals: dict[str, str], key: str, default):
-    if cli_value is not None:
-        return cli_value
-    if key in file_vals:
-        raw = file_vals[key]
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        return raw
-    return default
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_vals = _read_config_file(args.config) if args.config else {}
-    params = OscParams(
-        m=_pick(args.mass, file_vals, "mass", 1.0),
-        hbar=_pick(args.hbar, file_vals, "hbar", 1.0),
-        alpha=_pick(args.alpha, file_vals, "alpha", 0.5),
-        omega=_pick(args.omega, file_vals, "omega", 1.0),
-    )
-    z = complex(_pick(args.z_re, file_vals, "z_re", 1.0),
-                _pick(args.z_im, file_vals, "z_im", 0.2))
+    vals = {} if args.config is None else _read_config_file(_convert("config", str, args.config))
+    for key, typ in _TYPES.items():
+        if getattr(args, key) is not None:
+            vals[key] = _convert(key, typ, getattr(args, key))
+    s = {key: vals.get(key, default) for key, _, default, _ in _SETTINGS}
+    params = OscParams(m=s["mass"], hbar=s["hbar"], alpha=s["alpha"], omega=s["omega"])
+    z = complex(s["z_re"], s["z_im"])
     if not cmath.isfinite(z):
         raise DomainError(f"z_re and z_im must be finite, got z={z!r}")
-    fmt = _pick(args.fmt, file_vals, "format", "csv")
-    if fmt not in ("csv", "json"):
-        raise DomainError(f"format must be 'csv' or 'json', got {fmt!r}")
-    out = _pick(args.out, file_vals, "out", None)
-    samples = int(_pick(args.samples, file_vals, "samples", 601))
+    if s["format"] not in ("csv", "json"):
+        raise DomainError(f"format must be 'csv' or 'json', got {s['format']!r}")
+    samples = s["samples"]
     if samples < 2:
         raise DomainError(f"samples must be at least 2, got {samples}")
     if samples > MAX_SAMPLES:
         raise DomainError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
-    t0 = _pick(args.t0, file_vals, "t0", None)
-    t1 = _pick(args.t1, file_vals, "t1", None)
     if args.command == "coherence":
         # default scan window: three post-switch periods starting at the switch end
         t_j = params.switch_end
-        if t0 is None:
-            t0 = t_j
-        if t1 is None:
-            t1 = t_j + 3.0 * (2.0 * math.pi / params.final_frequency)
+        t0 = t_j if s["t0"] is None else s["t0"]
+        t1 = t_j + 3.0 * (2.0 * math.pi / params.final_frequency) if s["t1"] is None else s["t1"]
         if t0 < t_j:
             raise DomainError(f"coherence scan must start at or after the switch end {t_j!r}, got t0={t0!r}")
     else:
-        if t0 is None:
-            t0 = -5.0
-        if t1 is None:
-            t1 = 10.0
+        t0 = -5.0 if s["t0"] is None else s["t0"]
+        t1 = 10.0 if s["t1"] is None else s["t1"]
     if not (math.isfinite(t0) and math.isfinite(t1) and t0 < t1):
         raise DomainError(f"need finite t0 < t1, got t0={t0!r}, t1={t1!r}")
     if not math.isfinite(t1 - t0):
         raise DomainError(f"window length t1 - t0 must be finite, got t0={t0!r}, t1={t1!r}")
-    t = _pick(args.t, file_vals, "t", 0.0)
+    t = s["t"]
     if not math.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
     if args.command != "coherence":
@@ -189,36 +170,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         quarter = math.pi / (2.0 * params.initial_frequency)
         for name, value in (("t0", t0), ("t1", t1), ("t", t)):
             require_resolved(name, value, quarter)
-    n_sigma = _pick(args.n_sigma, file_vals, "n_sigma", 6.0)
-    grid_n = int(_pick(args.grid_n, file_vals, "grid_n", 128))
+    n_sigma, grid_n = s["n_sigma"], s["grid_n"]
     if not (n_sigma >= 3.0 and math.isfinite(n_sigma)):
         raise DomainError(f"n_sigma must be finite and at least 3, got {n_sigma!r}")
     if grid_n < 16:
         raise DomainError(f"grid_n must be at least 16, got {grid_n}")
     if grid_n > MAX_GRID_N:
         raise DomainError(f"grid_n must be at most {MAX_GRID_N}, got {grid_n}")
-    return RunConfig(command=args.command, params=params, z=z, t0=float(t0), t1=float(t1),
-                     samples=samples, fmt=fmt, out=out, t=float(t),
-                     n_sigma=float(n_sigma), grid_n=grid_n)
-
-
-def _config_items(cfg: RunConfig) -> list[tuple[str, object]]:
-    return [
-        ("command", cfg.command),
-        ("alpha", cfg.params.alpha),
-        ("omega", cfg.params.omega),
-        ("mass", cfg.params.m),
-        ("hbar", cfg.params.hbar),
-        ("z_re", cfg.z.real),
-        ("z_im", cfg.z.imag),
-        ("t0", cfg.t0),
-        ("t1", cfg.t1),
-        ("samples", cfg.samples),
-        ("format", cfg.fmt),
-        ("t", cfg.t),
-        ("n_sigma", cfg.n_sigma),
-        ("grid_n", cfg.grid_n),
-    ]
+    # the resolved window replaces t0 and t1 in their places
+    header = {"command": args.command, **s, "t0": t0, "t1": t1}
+    return RunConfig(header=header, params=params, z=z, out=vals.get("out"))
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -241,14 +202,14 @@ def _emit_table(cfg: RunConfig, columns: Sequence[str], rows: np.ndarray,
                 extra: Sequence[tuple[str, object]] = ()) -> int:
     """Write the 2-D float array ``rows`` under ``columns`` as CSV or JSON."""
     _require_finite(columns, rows.T)
-    if cfg.fmt == "csv":
-        lines = [f"# {k} = {_fmt_any(v)}" for k, v in (*_config_items(cfg), *extra)]
+    if cfg.format == "csv":
+        lines = [f"# {k} = {_fmt_any(v)}" for k, v in (*cfg.header.items(), *extra)]
         lines.append(",".join(columns))
         # repr of a Python float is format_float's shortest round-trip form
         lines.extend(",".join(map(repr, row)) for row in rows.tolist())
         text = "\n".join(lines) + "\n"
     else:
-        doc: dict = {"config": dict(_config_items(cfg))}
+        doc: dict = {"config": cfg.header}
         for k, v in extra:
             doc[k] = v
         doc["columns"] = list(columns)
@@ -309,9 +270,9 @@ def _cmd_wigner(cfg: RunConfig) -> int:
                        resolution=(cfg.grid_n, cfg.grid_n))
     _require_finite(("q", "p", "w"), (grid.q_axis, grid.p_axis, grid.values))
     norm = grid_integral(grid)
-    extra = [(k, _fmt_any(v)) for k, v in _config_items(cfg) if k not in _GRID_META_KEYS]
+    extra = [(k, _fmt_any(v)) for k, v in cfg.header.items() if k not in _GRID_META_KEYS]
     extra.append(("normalization", format_float(norm)))
-    if cfg.fmt == "csv":
+    if cfg.format == "csv":
         text = grid_to_csv(grid, comments=tuple(extra))
     else:
         text = grid_to_json(grid, extra_meta=dict(extra))
@@ -496,7 +457,7 @@ def build_validation_report(cfg: RunConfig) -> dict:
             "verdict": verdict,
         })
 
-    return {"config": dict(_config_items(cfg)), "checks": checks}
+    return {"config": dict(cfg.header), "checks": checks}
 
 
 def _render_report_text(report: dict) -> str:
@@ -526,7 +487,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
     report = build_validation_report(cfg)
     named = {"config": report["config"], **{check["name"]: check for check in report["checks"]}}
     _require_finite(*zip(*_report_floats(named)))
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         text = json.dumps(report, separators=(",", ":")) + "\n"
     else:
         text = _render_report_text(report)
@@ -534,14 +495,16 @@ def _cmd_validate(cfg: RunConfig) -> int:
     return 0
 
 
+# (handler, help) of each subcommand, in the order --help lists them
 _COMMANDS = {
-    "profile": _cmd_profile,
-    "epsilon": _cmd_epsilon,
-    "phase-diagram": _cmd_phase_diagram,
-    "moments": _cmd_moments,
-    "wigner": _cmd_wigner,
-    "coherence": _cmd_coherence,
-    "validate": _cmd_validate,
+    "profile": (_cmd_profile, "switched frequency over time"),
+    "epsilon": (_cmd_epsilon, "complex amplitude and Wronskian residual"),
+    "phase-diagram": (_cmd_phase_diagram, "mean position/momentum orbit and the conserved pair"),
+    "moments": (_cmd_moments, "second moments and the determinant-identity residual"),
+    "wigner": (_cmd_wigner, "phase-space distribution on a grid"),
+    "coherence": (_cmd_coherence, "scan the post-switch region for cofluctuation zeros"),
+    "validate": (_cmd_validate, "cross-check delicate closed-form constants against "
+                                "independent numerical evidence"),
 }
 
 
@@ -559,7 +522,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # a non-finite result is reported by _require_finite, not by numpy's warnings
         with np.errstate(all="ignore"):
-            return _COMMANDS[cfg.command](cfg)
+            return _COMMANDS[cfg.command][0](cfg)
     except (SwitchOscError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -541,6 +541,77 @@ class TestConfigFile:
         cfg.write_text("alpha = fast\n")
         assert run(capsys, "profile", "--config", str(cfg))[0] == 2
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("key", [row[0] for row in cli._SETTINGS])
+    def test_every_setting_reads_alike_from_the_file_and_its_flag(self, capsys, tmp_path, key, fmt):
+        value = fmt if key == "format" else SETTING_VALUES[key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        base = ["moments"] if key == "format" else ["moments", "--format", fmt]
+        from_file = run(capsys, *base, "--config", str(cfg))
+        from_flag = run(capsys, *base, f"--{key.replace('_', '-')}={value}")
+        assert from_file == from_flag
+        code, out, err = from_file
+        assert code == 0 and err == ""
+        if fmt == "csv":
+            assert parse_csv(out)[0][key] == value
+        else:
+            assert str(json.loads(out)["config"][key]) == value
+
+    def test_out_reads_alike_from_the_file_and_its_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out = {tmp_path / 'from_file.csv'}\n")
+        assert run(capsys, "moments", "--samples", "3", "--config", str(cfg)) == (0, "", "")
+        assert run(capsys, "moments", "--samples", "3",
+                   "--out", str(tmp_path / "from_flag.csv")) == (0, "", "")
+        text = (tmp_path / "from_file.csv").read_text()
+        assert (tmp_path / "from_flag.csv").read_text() == text
+        assert run(capsys, "moments", "--samples", "3") == (0, text, "")
+
+    @pytest.mark.parametrize("text, line, flags, message", [
+        ("grid_n = 16.0\n", 1, [], "grid_n must be an int, got '16.0'"),
+        # read and refused although the flag overrides it
+        ("samples = 1e3\n", 1, ["--samples", "5"], "samples must be an int, got '1e3'"),
+        ("# a comment\nalpha =\n", 2, [], "alpha must not be empty"),
+        ("out =\n", 1, ["--out", "{tmp}/table.csv"], "out must not be empty"),
+    ], ids=["float-for-int", "overridden", "empty", "empty-overridden"])
+    def test_value_that_does_not_convert_names_its_line_and_key(self, capsys, tmp_path, text, line,
+                                                                flags, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        flags = [f.format(tmp=tmp_path) for f in flags]
+        assert run(capsys, "profile", "--config", str(cfg), *flags) == (
+            2, "", f"error: {cfg}:{line}: {message}\n")
+        assert not (tmp_path / "table.csv").exists()
+
+
+# a value other than the default for each row of cli._SETTINGS but format,
+# written as the outputs echo it
+SETTING_VALUES = {"alpha": "0.25", "omega": "1.5", "mass": "2.0", "hbar": "0.5", "z_re": "-0.75",
+                  "z_im": "1.25", "t0": "-1.5", "t1": "2.5", "samples": "4", "t": "0.5",
+                  "n_sigma": "4.0", "grid_n": "20"}
+
+
+class TestMalformedFlagValues:
+    """A flag value that does not convert exits 2 with one error line naming the key."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--samples", "three"], "samples must be an int, got 'three'"),
+        (["--grid-n=16.0"], "grid_n must be an int, got '16.0'"),
+        (["--alpha", "fast"], "alpha must be a float, got 'fast'"),
+        (["--format", "xml"], "format must be 'csv' or 'json', got 'xml'"),
+        (["--alpha="], "alpha must not be empty"),
+        (["--out="], "out must not be empty"),
+        (["--config="], "config must not be empty"),
+    ], ids=["int", "float-for-int", "float", "format", "empty-float", "empty-out", "empty-config"])
+    def test_one_error_line(self, capsys, argv, message):
+        assert run(capsys, "profile", *argv) == (2, "", f"error: {message}\n")
+
+    def test_unknown_flag_keeps_the_usage_message(self, capsys):
+        code, out, err = run(capsys, "profile", "--bogus")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: switchosc ") and "unrecognized arguments: --bogus" in err
+
 
 class TestJsonTables:
     def test_structure(self, capsys):
@@ -602,7 +673,7 @@ class TestEntryPoints:
 
     def test_one_parser_serves_every_call_as_a_fresh_one_would(self, capsys):
         argvs = [
-            ["epsilon", "--samples", "three"],  # usage error, exit 2
+            ["epsilon", "--samples", "three"],  # malformed value, exit 2
             ["epsilon", "--samples", "3", "--t0", "0", "--t1", "1"],
             ["--help"],
             ["moments", "--samples", "3", "--format", "json"],

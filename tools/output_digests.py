@@ -2,8 +2,11 @@
 
 Each invocation runs in this process through ``switchosc.cli.main``; its exit
 code, stdout and stderr are hashed together and printed as ``<sha256>  <argv>``.
-Run it on two checkouts and diff the listings to see which outputs a change
-moves:
+Config-file invocations run in a fresh temporary directory that holds only
+``run.cfg``, named relative to it, so neither the printed argv nor an error
+message holds a temporary path; their line ends with ``# run.cfg: `` and the
+file's lines. Run it on two checkouts and diff the listings to see which
+outputs a change moves:
 
     python tools/output_digests.py > change.txt
     python tools/output_digests.py --src ../parent/src > parent.txt
@@ -11,7 +14,8 @@ moves:
 
 The set covers every subcommand at alpha*omega = 0, 0.5 and 0.97 (omega = 1),
 in both formats, at four windows or instants each, plus a few invocations
-that fail or sit at the edge of double precision or time resolution.
+that fail or sit at the edge of double precision or time resolution, and a
+few that read settings from a config file.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ import contextlib
 import hashlib
 import importlib
 import io
+import os
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -48,6 +54,24 @@ EDGE_CASES = (
     ("coherence", "--alpha=0.3", "--t0=1000", "--t1=1100"),
     # a table window the doubles cannot resolve
     ("epsilon", "--t0=1e20", "--t1=1.0000000000001e20", "--samples=3"),
+    # flag values that do not convert to their setting's type, or are empty
+    ("profile", "--samples=three"),
+    ("profile", "--format=xml"),
+    ("profile", "--alpha="),
+    ("profile", "--out="),
+)
+# (lines of run.cfg, argv): settings from the file, some overridden by a flag
+CONFIG_CASES = (
+    (("alpha = 0.25", "samples = 7", "t0 = -1", "t1 = 2"), ("moments", "--config=run.cfg")),
+    (("alpha = 0.25", "samples = 7", "t0 = -1", "t1 = 2"),
+     ("epsilon", "--config=run.cfg", "--samples=5", "--format=json")),
+    (("# a wigner grid", "z_re = -0.5", "t = 0.8", "grid_n = 17", "n_sigma = 4"),
+     ("wigner", "--config=run.cfg", "--format=json")),
+    (("omega = 2", "hbar = 0.5", "format = json"), ("validate", "--config=run.cfg", "--grid-n=16")),
+    # values that do not convert, overridden by a flag or not
+    (("grid_n = 16.0",), ("wigner", "--config=run.cfg")),
+    (("samples = 1e3",), ("profile", "--config=run.cfg", "--samples=5")),
+    (("alpha =",), ("profile", "--config=run.cfg")),
 )
 
 
@@ -92,6 +116,16 @@ def main() -> int:
     warnings.simplefilter("always")
     for argv in invocations():
         print(f"{digest(cli.main, argv)}  {' '.join(argv)}")
+    cwd = os.getcwd()
+    for lines, argv in CONFIG_CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            Path(tmp, "run.cfg").write_text("".join(f"{ln}\n" for ln in lines), encoding="utf-8")
+            os.chdir(tmp)
+            try:
+                h = digest(cli.main, argv)
+            finally:
+                os.chdir(cwd)
+        print(f"{h}  {' '.join(argv)}  # run.cfg: {'; '.join(lines)}")
     return 0
 
 
