@@ -12,21 +12,23 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .classical import amplitude, modulus, wronskian_of
+from .emit import format_float, table_chunks
 from .errors import DomainError, RangeError, SwitchOscError
 from .frequency import OscParams, omega_profile, require_resolved
 from .numerics import derivative, find_root, integrate_ode, quadrature
 from .quantum import (MAX_SAMPLES, coherence_scan, conserved_pair_of, envelope_slope,
                       first_moments_of, second_moments_of, slope_sign_changes)
-from .wigner import format_float, grid_integral, grid_to_csv, grid_to_json, wigner_grid
+from .wigner import grid_integral, grid_to_csv, grid_to_json, wigner_grid
 
 # size caps, checked before anything is allocated; MAX_SAMPLES comes from quantum
 MAX_GRID_N = 2048
@@ -182,12 +184,13 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(header=header, params=params, z=z, out=vals.get("out"))
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(chunks: Iterable[str], out: str | None) -> None:
+    """Write the pieces of one output, in order, to stdout or to the file ``out``."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _require_finite(names: Sequence[str], columns) -> None:
@@ -205,17 +208,18 @@ def _emit_table(cfg: RunConfig, columns: Sequence[str], rows: np.ndarray,
     if cfg.format == "csv":
         lines = [f"# {k} = {_fmt_any(v)}" for k, v in (*cfg.header.items(), *extra)]
         lines.append(",".join(columns))
-        # repr of a Python float is format_float's shortest round-trip form
-        lines.extend(",".join(map(repr, row)) for row in rows.tolist())
-        text = "\n".join(lines) + "\n"
+        head = "\n".join(lines) + "\n"
+        row_sep, tail = "\n", "\n" if len(rows) else ""
     else:
         doc: dict = {"config": cfg.header}
         for k, v in extra:
             doc[k] = v
         doc["columns"] = list(columns)
-        doc["rows"] = rows.tolist()
-        text = json.dumps(doc, separators=(",", ":")) + "\n"
-    _write_text(text, cfg.out)
+        # "rows" is the last key, written as json.dumps writes it
+        head = json.dumps(doc, separators=(",", ":"))[:-1] + ',"rows":' + ("[[" if len(rows) else "[")
+        row_sep, tail = "],[", ("]]" if len(rows) else "]") + "}\n"
+    # the rows go out a block at a time, never held as one string
+    _write_text(itertools.chain((head,), table_chunks(rows, ",", row_sep), (tail,)), cfg.out)
     return 0
 
 
@@ -276,7 +280,7 @@ def _cmd_wigner(cfg: RunConfig) -> int:
         text = grid_to_csv(grid, comments=tuple(extra))
     else:
         text = grid_to_json(grid, extra_meta=dict(extra))
-    _write_text(text, cfg.out)
+    _write_text((text,), cfg.out)
     if cfg.out is not None:
         print(f"normalization = {format_float(norm)}")
     return 0
@@ -491,7 +495,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
         text = json.dumps(report, separators=(",", ":")) + "\n"
     else:
         text = _render_report_text(report)
-    _write_text(text, cfg.out)
+    _write_text((text,), cfg.out)
     return 0
 
 

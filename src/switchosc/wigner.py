@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classical import amplitude
+from .emit import format_float, grid_chunks, table_chunks
 from .errors import DomainError, NotNormalized
 from .frequency import OscParams
 from .quantum import CovarianceState, FirstMoments, first_moments_of, second_moments_of
@@ -156,11 +157,6 @@ def grid_moments(g: WignerGrid) -> tuple[FirstMoments, CovarianceState]:
     return FirstMoments(q_mean=q_mean, p_mean=p_mean), CovarianceState(sq2=sq2, sp2=sp2, cqp=cqp)
 
 
-def format_float(x: float) -> str:
-    """Shortest decimal that round-trips the double exactly: the float format of every output."""
-    return repr(float(x))
-
-
 def _meta_items(g: WignerGrid) -> list[tuple[str, str]]:
     return [
         ("t", format_float(g.t)),
@@ -182,14 +178,8 @@ def grid_to_csv(g: WignerGrid, comments: tuple[tuple[str, str], ...] = ()) -> st
     significant digits the format guarantees).
     """
     lines = [f"# {k} = {v}" for k, v in (*_meta_items(g), *comments)]
-    lines.append("q,p,w")
-    # repr of a Python float is format_float; each axis value is formatted
-    # once, and one row of values at a time is converted to Python floats
-    p_strs = [repr(pv) for pv in g.p_axis.tolist()]
-    for qv, row in zip(g.q_axis.tolist(), g.values):
-        q_s = repr(qv)
-        lines.extend(f"{q_s},{p_s},{w!r}" for p_s, w in zip(p_strs, row.tolist()))
-    return "\n".join(lines) + "\n"
+    lines.append("q,p,w\n")
+    return "".join(["\n".join(lines), *grid_chunks(g.q_axis, g.p_axis, g.values), "\n"])
 
 
 def grid_to_json(g: WignerGrid, extra_meta: dict | None = None) -> str:
@@ -197,12 +187,10 @@ def grid_to_json(g: WignerGrid, extra_meta: dict | None = None) -> str:
     meta: dict = {k: v for k, v in _meta_items(g)}
     if extra_meta:
         meta.update(extra_meta)
-    doc = {
-        "meta": meta,
-        "q_axis": g.q_axis.tolist(),
-        "p_axis": g.p_axis.tolist(),
-        # flattened from row lists: one flat .tolist() of the whole grid raised the
-        # peak RSS of a run of CSV and JSON grids by about 2.4 MiB
-        "values": [w for row in g.values.tolist() for w in row],
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
+    # laid out as json.dumps writes {"meta": ..., "q_axis": [...], "p_axis": [...], "values": [...]}
+    arrays = (("q_axis", g.q_axis), ("p_axis", g.p_axis), ("values", g.values))
+    pieces = ['{"meta":', json.dumps(meta, separators=(",", ":"))]
+    for key, a in arrays:
+        pieces += [f',"{key}":[', *table_chunks(np.reshape(a, (1, -1)), ",", ""), "]"]
+    pieces.append("}\n")
+    return "".join(pieces)

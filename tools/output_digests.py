@@ -14,8 +14,9 @@ outputs a change moves:
 
 The set covers every subcommand at alpha*omega = 0, 0.5 and 0.97 (omega = 1),
 in both formats, at four windows or instants each, plus a few invocations
-that fail or sit at the edge of double precision or time resolution, and a
-few that read settings from a config file.
+that fail or sit at the edge of double precision or time resolution, a few
+large outputs that span many blocks of the array float formatter, and a few
+that read settings from a config file.
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ EDGE_CASES = (
     ("profile", "--alpha="),
     ("profile", "--out="),
 )
+# outputs of many formatter blocks: tables of about 70000 and 60000 values, grids of
+# 50625 cells, and three-digit exponents of both signs
+LARGE_CASES = (
+    *((cmd, f"--format={fmt}", "--samples=10001") for cmd in ("epsilon", "moments") for fmt in FORMATS),
+    *(("wigner", f"--format={fmt}", "--grid-n=225") for fmt in FORMATS),
+    ("phase-diagram", "--z-re=1e200", "--samples=2001"),
+    ("phase-diagram", "--omega=1e-200", "--z-re=1e200", "--samples=2001", "--format=json"),
+)
 # (lines of run.cfg, argv): settings from the file, some overridden by a flag
 CONFIG_CASES = (
     (("alpha = 0.25", "samples = 7", "t0 = -1", "t1 = 2"), ("moments", "--config=run.cfg")),
@@ -91,6 +100,7 @@ def invocations() -> list[tuple[str, ...]]:
             for t0, t1 in VALIDATE_WINDOWS:
                 out.append(("validate", *common, f"--t0={t0}", f"--t1={t1}", "--grid-n=64"))
     out.extend(EDGE_CASES)
+    out.extend(LARGE_CASES)
     return out
 
 
