@@ -184,8 +184,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(header=header, params=params, z=z, out=vals.get("out"))
 
 
-def _write_text(chunks: Iterable[str], out: str | None) -> None:
-    """Write the pieces of one output, in order, to stdout or to the file ``out``."""
+def _write_text(text: str | Iterable[str], out: str | None) -> None:
+    """Write one output, whole or as pieces in order, to stdout or to the file ``out``."""
+    chunks = (text,) if isinstance(text, str) else text
     if out is None:
         sys.stdout.writelines(chunks)
     else:
@@ -280,7 +281,7 @@ def _cmd_wigner(cfg: RunConfig) -> int:
         text = grid_to_csv(grid, comments=tuple(extra))
     else:
         text = grid_to_json(grid, extra_meta=dict(extra))
-    _write_text((text,), cfg.out)
+    _write_text(text, cfg.out)
     if cfg.out is not None:
         print(f"normalization = {format_float(norm)}")
     return 0
@@ -495,7 +496,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
         text = json.dumps(report, separators=(",", ":")) + "\n"
     else:
         text = _render_report_text(report)
-    _write_text((text,), cfg.out)
+    _write_text(text, cfg.out)
     return 0
 
 

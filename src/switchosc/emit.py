@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import RangeError
 
-# below this many values a table or grid is written by repr. The array path costs
+# below this many values a table is written by repr. The array path costs
 # about 0.45 ms more per call and 0.8 us less per value; its first call in a process
 # also builds the tables, about 4.5 ms and 0.8 MiB, and then breaks even near 2400
 SMALL_TABLE = 2048
@@ -261,22 +261,13 @@ def table_chunks(a, sep: str, row_sep: str) -> Iterator[str]:
 def grid_chunks(q, p, w) -> Iterator[str]:
     """Pieces of the lines ``f"{q[i]!r},{p[j]!r},{w[i, j]!r}"`` over i, then j, joined by newlines.
 
-    Each axis value is formatted once. A grid of fewer than ``SMALL_TABLE``
-    values comes in one piece, written by repr; a larger one is assembled as
-    bytes.
+    Each axis value is formatted once, and the lines are assembled as bytes.
 
     Raises:
         RangeError: while iterating, if a value is NaN or infinite.
     """
     w = np.asarray(w, dtype=np.float64)
     n_q, n_p = w.shape
-    if w.size < SMALL_TABLE:
-        _check_finite(q, p, w)
-        p_s = list(map(repr, np.asarray(p, dtype=np.float64).tolist()))
-        yield "\n".join(f"{q_s},{ps},{v!r}" for q_s, row in
-                        zip(map(repr, np.asarray(q, dtype=np.float64).tolist()), w.tolist())
-                        for ps, v in zip(p_s, row))
-        return
     # each axis value as NUL-padded bytes; a line starts 'q,p,' and is padded to whole words
     q_b, p_b = (np.array("".join(table_chunks(np.reshape(axis, (-1, 1)), "", "\n")).split("\n"),
                          dtype="S").view(np.uint8).reshape(len(axis), -1)

@@ -105,9 +105,7 @@ class TestShapesAndPaths:
         with pytest.raises(RangeError):
             "".join(emit.grid_chunks(np.array([0.0, bad, 1.0]), np.arange(4.0), np.ones((3, 4))))
 
-    @BOTH_PATHS
-    def test_grid_lines(self, monkeypatch, small):
-        monkeypatch.setattr(emit, "SMALL_TABLE", small)
+    def test_grid_lines(self):
         rng = np.random.default_rng(7)
         q, p = np.sort(rng.standard_normal(17)), -np.sort(rng.random(300))
         w = rng.random((17, 300)) * 10.0 ** rng.integers(-8, 3, (17, 300))
@@ -173,7 +171,7 @@ class TestOutputsMatchTheReferenceRenderers:
 
     @pytest.mark.parametrize("n", [16, 33, 48, 97])
     def test_grids(self, n):
-        # 16 * 19 values take repr, 97 * 100 span three blocks
+        # 97 * 100 values span three blocks
         g = wigner_grid(0.4, 0.3 - 1.1j, OscParams(alpha=0.3), resolution=(n, n + 3))
         comments = (("n_sigma", "6.0"), ("normalization", "0.9999999999999998"))
         assert grid_to_csv(g, comments) == reference_emit.grid_to_csv(g, comments)
