@@ -15,6 +15,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from struct import Struct
 from typing import Callable, Sequence
 
 import numpy as np
@@ -208,6 +209,9 @@ class Trajectory:
         return self.states[:, 1]
 
 
+_RECORD = Struct("5d")  # one trajectory record: t, then the (x, y, u, v) state
+
+
 def integrate_ode(
     p: OscParams,
     t0: float,
@@ -224,16 +228,21 @@ def integrate_ode(
     at ``tol`` (mixed absolute/relative scale).  Step boundaries are placed
     exactly on the region junctions inside [t0, t1] — Omega^2 is continuous
     but not smooth there — and exactly on every requested ``t_eval`` point,
-    so no interpolation is ever involved.  The inputs are validated once,
-    here; each step then runs on the real and on the imaginary (eps,
-    eps_dot) pair as floats, reading Omega(t) from ``p.omega_at``: once for a
-    step that lies wholly before or wholly after the switch window, where
-    Omega is flat, and at each stage's instant otherwise.
+    so no interpolation is ever involved.  A step cut short to land on a
+    stop does not shrink the next one: that step is the larger of the
+    controller's new proposal and the one made before the cut.  The inputs
+    are validated once, here; each step then runs on the real and on the
+    imaginary (eps, eps_dot) pair as floats, reading Omega(t) from
+    ``p.omega_at``: once for a step that lies wholly before or wholly after
+    the switch window, where Omega is flat, and at each stage's instant
+    otherwise.
 
     Args:
         init: (eps, eps_dot) at ``t0``.
         t_eval: when given, the trajectory records exactly these times
             (plus ``t0`` if present); otherwise every accepted step.
+        max_steps: the most steps, accepted or rejected, the march may
+            attempt; the step after them raises before it is taken.
 
     Raises:
         DomainError: if ``tol`` or ``max_steps`` is invalid, or a time or
@@ -273,12 +282,13 @@ def integrate_ode(
     stops.update(junctions)
     stop_list = sorted(stops)
 
+    # each record is (t, x, y, u, v) as five packed doubles: without t_eval
+    # every accepted step is one, up to the step budget, so 40 bytes a step
     record_all = t_eval is None
-    times: list[float] = []
-    states: list[tuple] = []
+    records = bytearray()
+    pack = _RECORD.pack
     if record_all or t0 in eval_set:
-        times.append(t0)
-        states.append((x, y, u, v))
+        records += pack(t0, x, y, u, v)
 
     stage_c = _C[1:]
     t = t0
@@ -289,6 +299,8 @@ def integrate_ode(
     steps = accepted = rhs_calls = junction_stops = 0
     min_step, max_step = math.inf, 0.0
     while t < t1:
+        if steps == max_steps:
+            raise ToleranceNotMet(f"step budget exhausted after {max_steps} steps")
         while stop_list[si] <= t:
             si += 1
         stop = stop_list[si]
@@ -352,25 +364,24 @@ def integrate_ode(
             if hit and stop in junctions:
                 junction_stops += 1
             if record_all or t in eval_set:
-                times.append(t)
-                states.append((x, y, u, v))
+                records += pack(t, x, y, u, v)
             grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.125
-            h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))
+            h_next = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))
+            # a step cut short to land on a stop keeps the proposal made before the cut
+            h = max(h_next, h) if hit else h_next
         else:
             h = h_try * max(_MIN_FACTOR, _SAFETY * err_norm**-0.125)
             if h < tiny * max(1.0, abs(t)):
                 raise ToleranceNotMet(f"step size underflow at t={t!r} (tol={tol!r})")
         steps += 1
-        if steps > max_steps:
-            raise ToleranceNotMet(f"step budget exhausted after {max_steps} steps")
 
-    raw = np.array(states, dtype=float).reshape(len(states), 4)
-    out = np.empty((len(times), 2), dtype=complex)
-    out[:, 0] = raw[:, 0] + 1j * raw[:, 1]
-    out[:, 1] = raw[:, 2] + 1j * raw[:, 3]
+    raw = np.frombuffer(records, dtype=float).reshape(-1, 5)
+    out = np.empty((raw.shape[0], 2), dtype=complex)
+    out[:, 0] = raw[:, 1] + 1j * raw[:, 2]
+    out[:, 1] = raw[:, 3] + 1j * raw[:, 4]
     stats = IntegratorStats(accepted=accepted, rejected=steps - accepted, rhs_calls=rhs_calls,
                             junction_stops=junction_stops, min_step=min_step, max_step=max_step)
-    return Trajectory(times=np.array(times), states=out, tol=tol, stats=stats)
+    return Trajectory(times=raw[:, 0].copy(), states=out, tol=tol, stats=stats)
 
 
 def quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
@@ -416,11 +427,14 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-12,
 
     ``f`` maps a float array to an array of its values.  Every lane runs the
     same iteration: secant steps alternate with bisection, so the bracket at
-    least halves every other iteration regardless of how the secant behaves,
-    and the lane ends once its bracket is within 2*``tol`` or, when ``tol``
-    is finer than the spacing of doubles near the root, once its ends are
-    adjacent doubles.  Each iteration calls ``f`` once, on the lanes still
-    searching.  Returns the roots, in the order of the brackets.
+    least halves every other iteration regardless of how the secant behaves.
+    Each secant point is moved at least ``tol`` inside the bracket (the tol
+    step of Dekker and Brent), so a secant step that has reached the root is
+    followed by one that lands ``tol`` beyond it and closes the bracket.  The
+    lane ends once its bracket is within 2*``tol`` or, when ``tol`` is finer
+    than the spacing of doubles near the root, once its ends are adjacent
+    doubles.  Each iteration calls ``f`` once, on the lanes still searching.
+    Returns the roots, in the order of the brackets.
 
     Raises:
         RangeError: unless ``lo`` and ``hi`` are 1-d of one length with
@@ -463,7 +477,7 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-12,
             break
         if use_secant:
             with np.errstate(divide="ignore", invalid="ignore"):
-                x = b - fb * (b - a) / (fb - fa)
+                x = np.clip(b - fb * (b - a) / (fb - fa), a + tol, b - tol)
             x = np.where((fb != fa) & (a < x) & (x < b), x, m)
         else:
             x = m

@@ -1,9 +1,9 @@
 """Scalar numerics that only the tests use.
 
 ``scalar_find_root`` is the one-bracket root finder that the lane-wise
-:func:`switchosc.numerics.find_root` replaced, kept unchanged as its
-bit-for-bit reference.  ``second_derivative`` is a finite-difference check
-of closed forms.
+:func:`switchosc.numerics.find_root` replaced, kept as its bit-for-bit
+reference with the same step rule.  ``second_derivative`` is a
+finite-difference check of closed forms.
 """
 
 from typing import Callable
@@ -16,9 +16,11 @@ def scalar_find_root(f: Callable[[float], float], bracket: tuple[float, float],
     """Locate a zero of ``f`` inside a sign-changing bracket to within ``tol``.
 
     Secant steps alternate with bisection, so the bracket at least halves
-    every other iteration regardless of how the secant behaves.  When ``tol``
-    is finer than the spacing of doubles near the root, the search ends once
-    the bracket ends are adjacent doubles.
+    every other iteration regardless of how the secant behaves.  A secant
+    point lies at least ``tol`` inside the bracket, so a converged secant
+    step is followed by one that closes the bracket around the root.  When
+    ``tol`` is finer than the spacing of doubles near the root, the search
+    ends once the bracket ends are adjacent doubles.
     """
     a, b = bracket
     if not a < b:
@@ -37,7 +39,8 @@ def scalar_find_root(f: Callable[[float], float], bracket: tuple[float, float],
         if b - a <= 2.0 * tol or not a < m < b:
             return m
         if use_secant and fb != fa:
-            x = b - fb * (b - a) / (fb - fa)
+            # a secant point at least tol inside the bracket
+            x = min(max(b - fb * (b - a) / (fb - fa), a + tol), b - tol)
             if not a < x < b:
                 x = m
         else:

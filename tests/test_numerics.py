@@ -6,7 +6,10 @@ every integrator check.
 
 import cmath
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,6 +40,7 @@ from switchosc.numerics import (
     _SAFETY,
     IntegratorStats,
 )
+from switchosc.quantum import envelope_slope, slope_sign_changes
 
 from reference_numerics import scalar_find_root, second_derivative
 
@@ -118,6 +122,34 @@ class TestIntegrator:
         with pytest.raises(DomainError, match="max_steps"):
             integrate_ode(FLAT, 0.0, 1.0, (1.0 + 0j, 1j), 1e-9, max_steps=max_steps)
 
+    def test_step_budget_counts_attempted_steps(self):
+        stats = integrate_ode(FIG, -5.0, 10.0, (1.0 + 0j, 1j), 1e-11).stats
+        steps = stats.accepted + stats.rejected
+        assert integrate_ode(FIG, -5.0, 10.0, (1.0 + 0j, 1j), 1e-11, max_steps=steps).stats == stats
+        with pytest.raises(ToleranceNotMet, match=f"after {steps - 1} steps"):
+            integrate_ode(FIG, -5.0, 10.0, (1.0 + 0j, 1j), 1e-11, max_steps=steps - 1)
+
+    def test_exhausted_budget_holds_little_memory(self):
+        # every accepted step is recorded, as 40 bytes; tuples of floats took about 240.
+        # VmHWM, unlike ru_maxrss, starts afresh in the exec'd interpreter
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status")
+        code = (
+            "from switchosc import OscParams, ToleranceNotMet, integrate_ode\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return int(next(ln for ln in f if ln.startswith('VmHWM:')).split()[1])\n"
+            "before = peak()\n"
+            "try:\n"
+            "    integrate_ode(OscParams(alpha=0.0), 0.0, 1e6, (1+0j, 1j), 1e-13, max_steps=100_000)\n"
+            "except ToleranceNotMet:\n"
+            "    print(peak() - before)\n"
+        )
+        src = str(Path(integrate_ode.__code__.co_filename).parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert int(proc.stdout) <= 8 * 1024  # KiB
+
     @pytest.mark.parametrize("aw", [0.0, 0.5, 0.97])
     @pytest.mark.parametrize("placement", ["before", "across", "after"])
     def test_sixty_long_windows_match_the_closed_form(self, aw, placement):
@@ -151,6 +183,18 @@ class TestIntegratorStats:
         assert across.stats.junction_stops == 2
         assert {0.0, FIG.switch_end} <= set(across.times.tolist())
         assert integrate_ode(FIG, 2.0, 4.0, start, 1e-9).stats.junction_stops == 0
+
+    def test_stops_do_not_shrink_the_next_step(self):
+        # 301 requested times 0.2 apart and two junctions between them: a step cut
+        # short to land on a stop keeps the proposal made before the cut, so the
+        # march takes about one step per requested time (609 steps without the rule)
+        p = OscParams(alpha=0.0, omega=0.9998)
+        t0, t1 = -15.81, 44.19
+        (eps,), (eps_dot,) = (v.tolist() for v in amplitude([t0], p))
+        traj = integrate_ode(p, t0, t1, (eps, eps_dot), 1e-11, t_eval=np.linspace(t0, t1, 301))
+        assert traj.stats.accepted + traj.stats.rejected <= 310
+        closed, _ = amplitude(traj.times, p)
+        assert np.max(np.abs(closed - traj.eps)) < 1e-10
 
     @pytest.mark.parametrize("t0, t1, stops", [(-3.0, -1.0, 0), (-1.0, 0.5, 1), (0.2, 1.4, 0),
                                                (1.0, 3.0, 1), (0.0, 3.0, 1)],
@@ -281,7 +325,8 @@ def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, fixed_step=None):
                 states.append(y)
             if fixed_step is None:
                 grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.125
-                h = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))
+                h_next = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))
+                h = max(h_next, h) if hit else h_next
         else:
             h = h_try * max(_MIN_FACTOR, _SAFETY * err_norm**-0.125)
             assert h >= 16.0 * sys.float_info.epsilon * max(1.0, abs(t))
@@ -481,6 +526,29 @@ class TestFindRoot:
     def test_iteration_budget(self):
         with pytest.raises(ToleranceNotMet):
             find_root(np.cos, [1.0], [2.0], 1e-13, max_iter=3)
+
+    @pytest.mark.parametrize("aw", [0.5, 0.97])
+    def test_envelope_slope_brackets_close_in_few_calls(self, aw):
+        # the brackets of validate's search, over three post-switch periods: the
+        # secant reaches each zero from one side, and the next secant point, set
+        # tol past it, closes the bracket (41-44 calls without the tol step)
+        p = OscParams(alpha=aw)
+        spacing = math.pi / (2.0 * p.final_frequency)
+        t_lo, t_hi = p.switch_end, p.switch_end + 12.0 * spacing
+        ts, changes = slope_sign_changes(p, t_lo, t_hi)
+        sizes = []
+
+        def slope(t):
+            sizes.append(t.size)
+            return envelope_slope(t, p)
+
+        tol = 1e-13
+        roots = find_root(slope, ts[changes], ts[changes + 1], tol)
+        assert len(sizes) <= 12
+        kept = roots[(roots - t_lo > 1e-6 * spacing) & (t_hi - roots > 1e-6 * spacing)]
+        instants = t_lo + np.round((kept - t_lo) / spacing) * spacing
+        assert kept.size == 11
+        assert np.max(np.abs(kept - instants)) <= 2.0 * tol
 
 
 def _assert_lanes_match_scalar_reference(f, lo, hi, tol, max_iter=200):
