@@ -7,8 +7,10 @@ every integrator check.
 import cmath
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +31,7 @@ from switchosc import (
     omega_of,
     quadrature,
 )
-from switchosc.classical import envelope_of
+from switchosc.classical import envelope_of, wronskian_of
 from switchosc.numerics import (
     _A,
     _C,
@@ -37,8 +39,14 @@ from switchosc.numerics import (
     _E5,
     _MAX_FACTOR,
     _MIN_FACTOR,
+    _PHI3,
+    _PHI5,
+    _R,
+    _R_LOW,
     _SAFETY,
     IntegratorStats,
+    _flat_step,
+    _pair_step,
 )
 from switchosc.quantum import envelope_slope, slope_sign_changes
 
@@ -260,13 +268,13 @@ def _combine(y, h, coeffs, ks):
     return y[0] + h * s[0], y[1] + h * s[1], y[2] + h * s[2], y[3] + h * s[3]
 
 
-def _error_norm(h: float, ks: list, y: tuple, y_new: tuple, budget: float) -> float:
+def _error_norm(h: float, e5: tuple, e3: tuple, y: tuple, y_new: tuple, budget: float) -> float:
     # Hairer's norm h * S5 / sqrt(4 * (S5 + 0.01 * S3)), where S5 and S3 sum
     # the squares of the fifth- and third-order estimates, each component
     # measured against budget * (1 + its larger magnitude before and after)
     scales = [budget * (1.0 + max(abs(a), abs(b))) for a, b in zip(y, y_new)]
-    q5 = [e / sc for e, sc in zip(_weighted(_E5, ks), scales)]
-    q3 = [e / sc for e, sc in zip(_weighted(_E3, ks), scales)]
+    q5 = [e / sc for e, sc in zip(e5, scales)]
+    q3 = [e / sc for e, sc in zip(e3, scales)]
     sum5 = q5[0] * q5[0] + q5[1] * q5[1] + q5[2] * q5[2] + q5[3] * q5[3]
     sum3 = q3[0] * q3[0] + q3[1] * q3[1] + q3[2] * q3[2] + q3[3] * q3[3]
     if sum5 == 0.0:
@@ -274,13 +282,24 @@ def _error_norm(h: float, ks: list, y: tuple, y_new: tuple, budget: float) -> fl
     return h * sum5 / math.sqrt(4.0 * (sum5 + 0.01 * sum3))
 
 
-def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, fixed_step=None):
+def _kernel_flat_step(y: tuple, h: float, g: float) -> tuple:
+    # integrate_ode's flat step on the state (x, y, u, v): the new state, then
+    # the fifth- and then the third-order error sums, each in that order
+    x_new, u_new, ex5, ex3, eu5, eu3, y_new, v_new, ey5, ey3, ev5, ev3 = _flat_step(
+        y[0], y[2], y[1], y[3], h, g)
+    return (x_new, y_new, u_new, v_new), (ex5, ey5, eu5, ev5), (ex3, ey3, eu3, ev3)
+
+
+def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, fixed_step=None, flat_kernel=False):
     """The DOP853 step as a loop over the tableau, reading Omega through omega_of.
 
     Every stage sum runs over the whole row, zero weights included.  Same
     stops, controller and stage order as integrate_ode; returns (times,
-    states, stats) for a bit-for-bit comparison.  ``fixed_step`` marches
-    with that step and no controller, for the order check of the tableau.
+    states, stats).  ``fixed_step`` marches with that step and no controller,
+    for the order check of the tableau.  With ``flat_kernel``, a step wholly
+    before or wholly after the switch window is integrate_ode's own flat step
+    instead, under Omega read at the step's start, so that everything else
+    can be compared bit for bit.
     """
 
     def rhs(t, y):
@@ -308,12 +327,17 @@ def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, fixed_step=None):
             si += 1
         stop = stop_list[si]
         h_try, hit = (h, False) if h < stop - t else (stop - t, True)
-        ks = [rhs(t, y)]
-        for c, a in zip(_C[1:], _A[1:-1]):
-            ks.append(rhs(t + c * h_try, _combine(y, h_try, a, ks)))
-        y_new = _combine(y, h_try, _A[-1], ks)
-        rhs_calls += len(ks)
-        err_norm = 0.0 if fixed_step is not None else _error_norm(h_try, ks, y, y_new, 0.1 * tol)
+        if flat_kernel and (t > p.switch_end or t + h_try < 0.0):
+            w = omega_of(t, p)
+            y_new, e5, e3 = _kernel_flat_step(y, h_try, -(w * w))
+        else:
+            ks = [rhs(t, y)]
+            for c, a in zip(_C[1:], _A[1:-1]):
+                ks.append(rhs(t + c * h_try, _combine(y, h_try, a, ks)))
+            y_new = _combine(y, h_try, _A[-1], ks)
+            e5, e3 = _weighted(_E5, ks), _weighted(_E3, ks)
+        rhs_calls += 12
+        err_norm = 0.0 if fixed_step is not None else _error_norm(h_try, e5, e3, y, y_new, 0.1 * tol)
         if err_norm <= 1.0:
             t = stop if hit else t + h_try
             y = y_new
@@ -340,17 +364,45 @@ def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, fixed_step=None):
     return np.array(times), out, stats
 
 
+def _counts(stats: IntegratorStats) -> tuple:
+    return stats.accepted, stats.rejected, stats.junction_stops, stats.rhs_calls
+
+
 def _assert_matches_loop_reference(p, t0, t1, init, tol, **kw):
+    """integrate_ode against the loop reference, with and without its flat step.
+
+    With the kernel's flat step in the loop, everything matches bit for bit:
+    every step that touches the switch window, every stop and every decision
+    of the controller.  With the tableau's stages on flat steps too, the two
+    round those steps differently, which moves the step sizes in their last
+    bits and the error estimates by the loop's rounding: the counts of steps,
+    stops and stage evaluations stay equal, and where both record one time
+    (each requested time, or t0 and t1) the states lie within the tolerance
+    per step, plus the rounding of the time, of one another.
+    """
     traj = integrate_ode(p, t0, t1, init, tol, **kw)
-    times, states, stats = _loop_reference(p, t0, t1, init, tol, **kw)
+    times, states, stats = _loop_reference(p, t0, t1, init, tol, flat_kernel=True, **kw)
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
     assert traj.stats == stats
+    times, states, stats = _loop_reference(p, t0, t1, init, tol, **kw)
+    assert _counts(traj.stats) == _counts(stats)
+    assert len(traj.times) == len(times)
+    shared = traj.times == times
+    assert shared.all() if kw.get("t_eval") is not None else shared[0] and shared[-1]
+    steps = stats.accepted + stats.rejected
+    bound = steps * (tol + EPS * max(abs(t0), abs(t1))) * (1.0 + np.max(np.abs(states)))
+    assert np.max(np.abs(traj.states[shared] - states[shared])) <= bound
     return traj.stats
 
 
 class TestKernelMatchesLoopReference:
-    """The unrolled step reproduces the loop over the tableau bit for bit."""
+    """The unrolled steps reproduce the loop over the tableau.
+
+    Bit for bit, once the kernel's own flat step (see TestFlatStep) stands in
+    for the loop on flat steps; with the loop's stages there too, to the same
+    counts and to nearby states.
+    """
 
     START = (0.3 - 1.1j, 0.8 + 0.4j)
 
@@ -372,8 +424,8 @@ class TestKernelMatchesLoopReference:
         ts = [-2.0, -0.5, 0.0, 0.3, p.switch_end, 2.0, 7.5]
         _assert_matches_loop_reference(p, -2.0, 7.5, self.START, 1e-9, t_eval=ts)
 
-    # The cases below pin where the kernel reads Omega once per step (wholly
-    # before or after the window) and where it reads it at every stage.
+    # The cases below pin where the kernel takes the flat step (wholly before
+    # or after the window) and where it reads Omega at every stage.
 
     @pytest.mark.parametrize("tol", [1e-11, 1e-3])
     def test_last_step_lands_on_zero(self, tol):
@@ -410,6 +462,106 @@ def test_kernel_matches_the_loop_reference(aw, omega, t0, span, log_tol, mode, s
     kw = {"adaptive": {}, "t_eval": {"t_eval": t_eval}}[mode]
     _assert_matches_loop_reference(OscParams(alpha=aw / omega, omega=omega), t0, t0 + span,
                                    start, 10.0**log_tol, **kw)
+
+
+_A_EXACT = [[Fraction(a) for a in row] for row in _A]
+
+
+def _exact_polynomials() -> tuple[list, list, list]:
+    """The coefficients of R, Phi5 and Phi3 of the stored tableau, as Fractions.
+
+    Stage i's input is sum_k (M^k 1)_i Z^k y, M being the stage matrix _A[:12].
+    """
+    powers = [[Fraction(1)] * 12]
+    for _ in range(11):
+        prev = powers[-1]
+        powers.append([sum((a * w for a, w in zip(row, prev)), Fraction(0)) for row in _A_EXACT[:-1]])
+
+    def weigh(weights):
+        return [sum((Fraction(c) * w for c, w in zip(weights, pk)), Fraction(0)) for pk in powers]
+
+    return [Fraction(1)] + weigh(_A[-1]), weigh(_E5), weigh(_E3)
+
+
+def _exact_tableau_step(x: float, u: float, h: float, g: float) -> tuple:
+    """_pair_step's outputs under one constant g, the stages taken in exact arithmetic."""
+    x, u, h, g = map(Fraction, (x, u, h, g))
+    us, fs = [], []
+    for row in _A_EXACT[:-1]:
+        xi = x + h * sum((a * ui for a, ui in zip(row, us)), Fraction(0))
+        us.append(u + h * sum((a * fi for a, fi in zip(row, fs)), Fraction(0)))
+        fs.append(g * xi)
+
+    def weigh(weights, ks):
+        return sum((Fraction(c) * k for c, k in zip(weights, ks)), Fraction(0))
+
+    return (x + h * weigh(_A[-1], us), u + h * weigh(_A[-1], fs),
+            weigh(_E5, us), weigh(_E3, us), weigh(_E5, fs), weigh(_E3, fs))
+
+
+class TestFlatStep:
+    """Where Omega is flat, a step is the tableau's in exact arithmetic, rounded.
+
+    Its outputs lie within a few ulps of the exact tableau step, closer than
+    the stage loop's on the same inputs, and a long march at one step size
+    gathers no more error than the loop's does.
+    """
+
+    def test_coefficients_are_the_stored_tableau_s(self):
+        r, phi5, phi3 = _exact_polynomials()
+        assert _R == tuple(map(float, r))
+        assert _R_LOW == (float(r[1] - Fraction(_R[1])), float(r[2] - Fraction(_R[2])))
+        assert _PHI5 == tuple(map(float, phi5))
+        assert _PHI3 == tuple(map(float, phi3))
+        # eighth order: R(Z) agrees with exp(Z) up to Z^8, to the rounding of the tableau
+        assert all(abs(r[k] * math.factorial(k) - 1) < 1e-14 for k in range(9))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_within_eight_ulps_of_the_exact_tableau_step(self, seed):
+        # errors in ulps of each output's size in the phase plane: a pair (x, u)
+        # of size n = hypot(x, u/w) has positions of size n, velocities and their
+        # error sums of size w*n, and error sums of accelerations of size w*w*n
+        rng = random.Random(seed)
+        flat_err, loop_err = [], []
+        for _ in range(40):
+            w = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
+            g = -(w * w)
+            h = math.exp(rng.uniform(math.log(1e-3), math.log(4.0))) / w
+            x, u, y, v = (rng.uniform(-3.0, 3.0) * 10.0 ** rng.uniform(-2.0, 1.0) for _ in range(4))
+            exact = _exact_tableau_step(x, u, h, g) + _exact_tableau_step(y, v, h, g)
+            ulps = [EPS * s * n for n in (math.hypot(x, u / w), math.hypot(y, v / w))
+                    for s in (1.0, w, w, w, w * w, w * w)]
+            for outputs, errs in ((_flat_step(x, u, y, v, h, g), flat_err),
+                                  (_pair_step(x, u, h, (g,) * 12) + _pair_step(y, v, h, (g,) * 12),
+                                   loop_err)):
+                errs.append([float(abs(Fraction(o) - e)) / ulp
+                             for o, e, ulp in zip(outputs, exact, ulps)])
+        flat_err, loop_err = np.array(flat_err), np.array(loop_err)
+        assert flat_err.max() <= 8.0
+        # no less accurate than the stage loop, output by output
+        assert (flat_err.max(axis=0) <= loop_err.max(axis=0)).all()
+        assert (flat_err.mean(axis=0) <= loop_err.mean(axis=0)).all()
+
+    @pytest.mark.parametrize("t0, t1", [(-1260.0, -1.0), (2.0, 1780.0)], ids=["before", "after"])
+    def test_long_march_gathers_no_more_error_than_the_loop(self, t0, t1):
+        # over 200 periods wholly before or after the switch, with a stop every
+        # 1/8 so that every step has one size: a rounding the step repeats at
+        # that size would add up step by step
+        p = OscParams(alpha=0.5)
+        ts = (np.arange(8.0 * t0, 8.0 * t1 + 1.0) / 8.0).tolist()
+        (eps0,), (eps_dot0,) = (v.tolist() for v in amplitude([t0], p))
+        traj = integrate_ode(p, t0, t1, (eps0, eps_dot0), 1e-11, t_eval=ts)
+        times, states, _ = _loop_reference(p, t0, t1, (eps0, eps_dot0), 1e-11, t_eval=ts)
+        closed, _ = amplitude(times, p)
+
+        def error_and_drift(s):
+            w = wronskian_of(s[:, 0], s[:, 1])
+            return np.max(np.abs(s[:, 0] - closed)), np.max(np.abs(w - w[0]))
+
+        # no worse, up to the spread of one unbiased rounding per step
+        slack = math.sqrt(len(times)) * EPS * np.max(np.abs(states))
+        for kernel, loop in zip(error_and_drift(traj.states), error_and_drift(states)):
+            assert kernel <= loop + slack
 
 
 class TestQuadrature:
