@@ -25,9 +25,9 @@ from .classical import amplitude, modulus, wronskian_of
 from .emit import format_float, table_chunks
 from .errors import DomainError, RangeError, SwitchOscError
 from .frequency import OscParams, omega_profile, require_resolved
-from .numerics import derivative, find_root, integrate_ode, quadrature
-from .quantum import (MAX_SAMPLES, coherence_scan, conserved_pair_of, envelope_slope,
-                      first_moments_of, second_moments_of, slope_sign_changes)
+from .numerics import _flat_step, derivative, find_root, integrate_ode, quadrature
+from .quantum import (MAX_SAMPLES, coherence_scan, conserved_pair_of, first_moments_of,
+                      second_moments_of)
 from .wigner import grid_integral, grid_to_csv, grid_to_json, wigner_grid
 
 # size caps, checked before anything is allocated; MAX_SAMPLES comes from quantum
@@ -299,20 +299,53 @@ def _cmd_coherence(cfg: RunConfig) -> int:
     return _emit_table(cfg, cols, rows, extra=tuple(extra))
 
 
+def _oracle_instants(traj, t_lo: float, t_hi: float, g: float) -> np.ndarray:
+    """The zeros of Re(conj(eps)*eps_dot) = x*u + y*v on ``traj`` within [t_lo, t_hi].
+
+    Omega is flat there, with g = -Omega^2.  Each sign change between two
+    recorded steps is polished by :func:`find_root` on one flat DOP853 step
+    from the record at or before each point; no closed form enters.
+    """
+    k0, k1 = np.searchsorted(traj.times, [t_lo, t_hi]).tolist()
+    times, (eps, eps_dot) = traj.times[k0:k1 + 1], traj.states[k0:k1 + 1].T
+    x, y, u, v = eps.real, eps.imag, eps_dot.real, eps_dot.imag
+
+    def slope(t: np.ndarray) -> np.ndarray:
+        k = np.searchsorted(times, t, side="right") - 1
+        xn, un, _, _, _, _, yn, vn, _, _, _, _ = _flat_step(x[k], u[k], y[k], v[k], t - times[k], g)
+        return xn * un + yn * vn
+
+    rising = x * u + y * v > 0.0
+    changes = np.flatnonzero(rising[:-1] != rising[1:])
+    return find_root(slope, times[changes], times[changes + 1], tol=1e-13)
+
+
 def build_validation_report(cfg: RunConfig) -> dict:
     """Adjudicate the delicate closed-form constants with independent numerics.
 
     Each check reports a reference value (the alternate closed form this
     library deliberately does not use), the computed value it uses instead,
     the oracle evidence, and a verdict.  Discrepancies are findings, not
-    failures.
+    failures.  The phase constant and the coherent instants are judged on one
+    DOP853 trajectory from the problem's input, the harmonic solution before
+    the switch, at min(t0, 0).
     """
     p = cfg.params
     aw = p.alpha * p.omega
     t_j = p.switch_end
     t_probe = 0.5 * t_j
-    (eps0, eps), (eps_dot0, eps_dot) = (v.tolist() for v in amplitude([cfg.t0, t_probe], p))
+    (eps,), (eps_dot,) = (v.tolist() for v in amplitude([t_probe], p))
     checks = []
+    w0, w_after = p.initial_frequency, p.final_frequency
+    t_lo, t_hi = t_j, t_j + 3.0 * (2.0 * math.pi / w_after)
+    scan = coherence_scan(p, t_lo, t_hi)
+
+    # -- the oracle: on to three post-switch periods unless the envelope is flat --
+    s0, s1 = min(cfg.t0, 0.0), (cfg.t1 if scan.always_coherent else max(cfg.t1, t_hi))
+    c, s = math.cos(w0 * s0), math.sin(w0 * s0)
+    start = (complex(p.before_re * c, p.before_im * s),
+             complex(-p.before_re * w0 * s, p.before_im * w0 * c))
+    traj = integrate_ode(p, s0, s1, start, tol=1e-11)
 
     # -- post-switch phase constant -----------------------------------------
     computed = p.junction_phase
@@ -321,13 +354,16 @@ def build_validation_report(cfg: RunConfig) -> dict:
         lambda s: 1.0 / (1.0 / p.omega + p.alpha * np.cos(p.omega * s) ** 2),
         0.0, t_j, tol=1e-13,
     )
-    ts = np.linspace(cfg.t0, cfg.t1, 301)
-    traj = integrate_ode(p, cfg.t0, cfg.t1, (eps0, eps_dot0), tol=1e-11, t_eval=ts)
+    # the accepted steps from the last at or before t0 to the first at or
+    # after t1, so that a window shorter than a step is covered too
+    lo = int(np.searchsorted(traj.times, cfg.t0, side="right")) - 1
+    hi = int(np.searchsorted(traj.times, cfg.t1, side="left")) + 1
+    times, eps_oracle = traj.times[lo:hi], traj.eps[lo:hi]
     rot = cmath.exp(1j * (reference - computed))
-    closed, _ = amplitude(traj.times, p)
-    variant = np.where(traj.times > t_j, closed * rot, closed)
-    err_computed = float(np.max(modulus(closed - traj.eps)))
-    err_reference = float(np.max(modulus(variant - traj.eps)))
+    closed, _ = amplitude(times, p)
+    variant = np.where(times > t_j, closed * rot, closed)
+    err_computed = float(np.max(modulus(closed - eps_oracle)))
+    err_reference = float(np.max(modulus(variant - eps_oracle)))
     if cfg.t1 <= t_j:
         verdict = "window ends before the post-switch region; no evidence"
     elif err_computed < 1e-6 <= err_reference:
@@ -347,6 +383,10 @@ def build_validation_report(cfg: RunConfig) -> dict:
             "closed_form_vs_quadrature": abs(computed - quad),
             "ode_max_error_computed": err_computed,
             "ode_max_error_reference": err_reference,
+            "ode_start": s0,
+            "ode_end": s1,
+            "ode_accepted_steps": traj.stats.accepted,
+            "ode_rejected_steps": traj.stats.rejected,
         },
         "verdict": verdict,
     })
@@ -405,9 +445,6 @@ def build_validation_report(cfg: RunConfig) -> dict:
     })
 
     # -- coherent instants ----------------------------------------------------
-    w_after = p.final_frequency
-    t_lo, t_hi = t_j, t_j + 3.0 * (2.0 * math.pi / w_after)
-    scan = coherence_scan(p, t_lo, t_hi)
     if scan.always_coherent:
         checks.append({
             "name": "coherent_instants",
@@ -424,9 +461,8 @@ def build_validation_report(cfg: RunConfig) -> dict:
     else:
         events_t = [e.t for e in scan.events]
         spacing = math.pi / (2.0 * w_after)
-        # the zeros searched without the scan's formula, edge zeros dropped as the scan drops them
-        ts, changes = slope_sign_changes(p, t_lo, t_hi)
-        found = find_root(lambda x: envelope_slope(x, p), ts[changes], ts[changes + 1], tol=1e-13)
+        found = _oracle_instants(traj, t_lo, t_hi, -(w_after * w_after))
+        # edge zeros dropped as the scan drops them
         found_t = found[(found - t_lo > 1e-6 * spacing) & (t_hi - found > 1e-6 * spacing)].tolist()
         found_offsets = [min(abs(f - e) for e in events_t) for f in found_t] if events_t else []
         spacings = [b - a for a, b in zip(found_t, found_t[1:])]

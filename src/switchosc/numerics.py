@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from struct import Struct
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -254,8 +254,9 @@ class IntegratorStats:
     ``rhs_calls`` is twelve per attempted step, the method's stage count,
     also for a step outside the switch window, which reads Omega once and
     evaluates no stage; ``junction_stops`` counts the accepted steps that
-    ended on a region junction.  ``min_step`` and ``max_step`` range over
-    the accepted steps.
+    ended on a region junction, one for each junction inside the window.
+    ``min_step`` and ``max_step`` range over the accepted steps, as the
+    differences of the recorded times.
     """
 
     accepted: int
@@ -276,7 +277,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    tol: float
     stats: IntegratorStats
 
     @property
@@ -298,37 +298,33 @@ def integrate_ode(
     init: tuple[complex, complex],
     tol: float,
     *,
-    t_eval: Sequence[float] | None = None,
     max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate eps'' + Omega(t)^2 * eps = 0 as a 4-dimensional real system.
 
     Adaptive Dormand-Prince 8(5,3) (DOP853) with local error per step kept
-    at ``tol`` (mixed absolute/relative scale).  Step boundaries are placed
-    exactly on the region junctions inside [t0, t1] — Omega^2 is continuous
-    but not smooth there — and exactly on every requested ``t_eval`` point,
-    so no interpolation is ever involved.  A step cut short to land on a
-    stop does not shrink the next one: that step is the larger of the
-    controller's new proposal and the one made before the cut.  The inputs
-    are validated once, here; each step then runs on the real and on the
-    imaginary (eps, eps_dot) pair as floats, reading Omega(t) from
-    ``p.omega_at``.  A step that touches the switch window reads it at each
-    stage's instant and runs the twelve stages.  A step that lies wholly
-    before or wholly after the window, where Omega is flat, reads it once
-    and takes the same step through the method's stability polynomials,
-    which in exact arithmetic give what the stages give.
+    at ``tol`` (mixed absolute/relative scale).  Every accepted step is
+    recorded.  Step boundaries are placed exactly on the region junctions
+    inside [t0, t1], where Omega^2 is continuous but not smooth, and on t1.
+    A step cut short to land on one of these stops does not shrink the next
+    one: that step is the larger of the controller's new proposal and the
+    one made before the cut.  The inputs are validated once, here; each step
+    then runs on the real and on the imaginary (eps, eps_dot) pair as
+    floats, reading Omega(t) from ``p.omega_at``.  A step that touches the
+    switch window reads it at each stage's instant and runs the twelve
+    stages.  A step that lies wholly before or wholly after the window,
+    where Omega is flat, reads it once and takes the same step through the
+    method's stability polynomials, which in exact arithmetic give what the
+    stages give.
 
     Args:
         init: (eps, eps_dot) at ``t0``.
-        t_eval: when given, the trajectory records exactly these times
-            (plus ``t0`` if present); otherwise every accepted step.
         max_steps: the most steps, accepted or rejected, the march may
             attempt; the step after them raises before it is taken.
 
     Raises:
         DomainError: if ``tol`` or ``max_steps`` is invalid, or a time or
             initial value is not finite.
-        RangeError: if a ``t_eval`` point lies outside [t0, t1].
         ToleranceNotMet: if the step size underflows or the step budget
             is exhausted.
     """
@@ -349,36 +345,21 @@ def integrate_ode(
     # state (x, y, u, v): eps = x + iy, eps_dot = u + iv
     x, y, u, v = eps0.real, eps0.imag, eps_dot0.real, eps_dot0.imag
 
-    eval_set: set[float] = set()
-    stops: set[float] = {t1}
-    if t_eval is not None:
-        pts = [float(te) for te in t_eval]
-        if not all(map(math.isfinite, pts)):
-            raise DomainError("t_eval points must be finite")
-        if any(te < t0 or te > t1 for te in pts):
-            raise RangeError("t_eval points must lie within [t0, t1]")
-        eval_set = set(pts)
-        stops.update(te for te in pts if te > t0)
     junctions = {tj for tj in (0.0, p.switch_end) if t0 < tj < t1}
-    stops.update(junctions)
-    stop_list = sorted(stops)
+    stop_list = sorted(junctions | {t1})
 
-    # each record is (t, x, y, u, v) as five packed doubles: without t_eval
-    # every accepted step is one, up to the step budget, so 40 bytes a step
-    record_all = t_eval is None
+    # each record is (t, x, y, u, v) as five packed doubles: one per accepted
+    # step, up to the step budget, so 40 bytes a step
     records = bytearray()
     pack = _RECORD.pack
-    if record_all or t0 in eval_set:
-        records += pack(t0, x, y, u, v)
+    records += pack(t0, x, y, u, v)
 
     stage_c = _C[1:]
     t = t0
     h = min((t1 - t0) / 64.0, stop_list[0] - t0)
     tiny = 16.0 * sys.float_info.epsilon
     budget = 0.1 * tol
-    si = 0
-    steps = accepted = rhs_calls = junction_stops = 0
-    min_step, max_step = math.inf, 0.0
+    si = steps = 0
     while t < t1:
         if steps == max_steps:
             raise ToleranceNotMet(f"step budget exhausted after {max_steps} steps")
@@ -386,10 +367,7 @@ def integrate_ode(
             si += 1
         stop = stop_list[si]
         gap = stop - t
-        if h < gap:
-            h_try, hit = h, False
-        else:
-            h_try, hit = gap, True
+        h_try, hit = (h, False) if h < gap else (gap, True)
         # g_i = -Omega^2 at stage i's instant t + c_i*h.  A step wholly after
         # the window (t > t_end), or wholly before it (t + h < 0, which bounds
         # every t + c_i*h since c_i <= 1), sees one flat Omega: read it once
@@ -404,7 +382,6 @@ def integrate_ode(
             # the real and the imaginary part share the stages' g
             x_new, u_new, ex5, ex3, eu5, eu3 = _pair_step(x, u, h_try, g)
             y_new, v_new, ey5, ey3, ev5, ev3 = _pair_step(y, v, h_try, g)
-        rhs_calls += 12
         # budget each step a decade below the requested tolerance so the
         # accumulated drift of conserved quantities stays within a few tol.
         # Each component's error sums are measured against budget * (1 +
@@ -415,39 +392,24 @@ def integrate_ode(
         # third-order estimates over the four components.
         s0, s1 = abs(x), abs(x_new)
         sc = budget * (1.0 + (s1 if s1 > s0 else s0))
-        ex5 /= sc
-        ex3 /= sc
+        ex5, ex3 = ex5 / sc, ex3 / sc
         s0, s1 = abs(y), abs(y_new)
         sc = budget * (1.0 + (s1 if s1 > s0 else s0))
-        ey5 /= sc
-        ey3 /= sc
+        ey5, ey3 = ey5 / sc, ey3 / sc
         s0, s1 = abs(u), abs(u_new)
         sc = budget * (1.0 + (s1 if s1 > s0 else s0))
-        eu5 /= sc
-        eu3 /= sc
+        eu5, eu3 = eu5 / sc, eu3 / sc
         s0, s1 = abs(v), abs(v_new)
         sc = budget * (1.0 + (s1 if s1 > s0 else s0))
-        ev5 /= sc
-        ev3 /= sc
+        ev5, ev3 = ev5 / sc, ev3 / sc
         sum5 = ex5 * ex5 + ey5 * ey5 + eu5 * eu5 + ev5 * ev5
         sum3 = ex3 * ex3 + ey3 * ey3 + eu3 * eu3 + ev3 * ev3
         # a zero fifth-order sum is a zero norm, also where 0.01 * S3 underflows
-        if sum5 == 0.0:
-            err_norm = 0.0
-        else:
-            err_norm = h_try * sum5 / math.sqrt(4.0 * (sum5 + 0.01 * sum3))
+        err_norm = 0.0 if sum5 == 0.0 else h_try * sum5 / math.sqrt(4.0 * (sum5 + 0.01 * sum3))
         if err_norm <= 1.0:
             t = stop if hit else t + h_try
             x, y, u, v = x_new, y_new, u_new, v_new
-            accepted += 1
-            if h_try < min_step:
-                min_step = h_try
-            if h_try > max_step:
-                max_step = h_try
-            if hit and stop in junctions:
-                junction_stops += 1
-            if record_all or t in eval_set:
-                records += pack(t, x, y, u, v)
+            records += pack(t, x, y, u, v)
             grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.125
             h_next = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))
             # a step cut short to land on a stop keeps the proposal made before the cut
@@ -459,12 +421,13 @@ def integrate_ode(
         steps += 1
 
     raw = np.frombuffer(records, dtype=float).reshape(-1, 5)
-    out = np.empty((raw.shape[0], 2), dtype=complex)
-    out[:, 0] = raw[:, 1] + 1j * raw[:, 2]
-    out[:, 1] = raw[:, 3] + 1j * raw[:, 4]
-    stats = IntegratorStats(accepted=accepted, rejected=steps - accepted, rhs_calls=rhs_calls,
-                            junction_stops=junction_stops, min_step=min_step, max_step=max_step)
-    return Trajectory(times=raw[:, 0].copy(), states=out, tol=tol, stats=stats)
+    states = raw[:, 1:].view(complex).copy()
+    # every junction inside the window is a stop, so each ends one accepted step
+    accepted, dt = raw.shape[0] - 1, np.diff(raw[:, 0])
+    stats = IntegratorStats(accepted=accepted, rejected=steps - accepted, rhs_calls=12 * steps,
+                            junction_stops=len(junctions), min_step=dt.min().item(),
+                            max_step=dt.max().item())
+    return Trajectory(times=raw[:, 0].copy(), states=states, stats=stats)
 
 
 def quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,

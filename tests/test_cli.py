@@ -450,6 +450,22 @@ class TestValidate:
         assert max(inst["evidence"]["found_offsets"]) <= 1e-9 * inst["evidence"]["envelope_spacing"]
         assert inst["verdict"].startswith("cofluctuation zeros follow")
 
+    def test_reference_junction_constant_is_refuted_after_the_switch(self):
+        # a window wholly after the switch: the oracle starts before the switch
+        # from the problem's input, so a closed form glued with the reference
+        # constant pi/sqrt(1+aw) misses it, even where it is used as the adopted one
+        p = OscParams()
+        bent = math.pi / p.root
+        for name, value in (("junction_phase", bent), ("junction_cos", math.cos(bent)),
+                            ("junction_sin", math.sin(bent))):
+            object.__setattr__(p, name, value)
+        cfg = _resolve_config(_build_parser().parse_args(["validate", "--t0=3", "--t1=30"]))
+        cfg = cli.RunConfig(header=cfg.header, params=p, z=cfg.z, out=None)
+        phase = {c["name"]: c for c in cli.build_validation_report(cfg)["checks"]}[
+            "post_switch_phase_constant"]
+        assert phase["evidence"]["ode_max_error_computed"] >= 1e-6
+        assert not phase["verdict"].startswith("adopted constant reproduces")
+
     def test_text_report_prints_verdicts(self, capsys):
         code, out, _ = run(capsys, "validate")
         assert code == 0

@@ -31,6 +31,7 @@ from switchosc import (
     omega_of,
     quadrature,
 )
+from switchosc import cli
 from switchosc.classical import envelope_of, wronskian_of
 from switchosc.numerics import (
     _A,
@@ -48,7 +49,6 @@ from switchosc.numerics import (
     _flat_step,
     _pair_step,
 )
-from switchosc.quantum import envelope_slope, slope_sign_changes
 
 from reference_numerics import scalar_find_root, second_derivative
 
@@ -89,20 +89,12 @@ class TestIntegrator:
             assert fine <= 4.0 * coarse
         assert errors[-1] < errors[0]
 
-    def test_requested_times_are_recorded_exactly(self):
-        ts = [0.0, 0.3, 1.0, 1.7, 2.0]
-        traj = integrate_ode(FLAT, 0.0, 2.0, (1.0 + 0j, 1j), 1e-9, t_eval=ts)
-        assert list(traj.times) == ts
-        assert traj.states.shape == (5, 2)
-
     def test_free_running_trajectory_is_strictly_increasing(self):
         traj = integrate_ode(FIG, -2.0, 2.0, (1.0 + 0j, 1j), 1e-9)
         assert np.all(np.diff(traj.times) > 0.0)
         assert traj.times[0] == -2.0 and traj.times[-1] == 2.0
 
     def test_input_validation(self):
-        with pytest.raises(RangeError):
-            integrate_ode(FLAT, 0.0, 1.0, (1.0 + 0j, 1j), 1e-9, t_eval=[2.0])
         with pytest.raises(DomainError):
             integrate_ode(FLAT, 0.0, 1.0, (1.0 + 0j, 1j), 1e-14)
         with pytest.raises(DomainError):
@@ -111,19 +103,19 @@ class TestIntegrator:
             integrate_ode(FLAT, 1.0, 1.0, (1.0 + 0j, 1j), 1e-9)
 
     @pytest.mark.parametrize(
-        "t0, t1, init, t_eval",
+        "t0, t1, init",
         [
-            (-math.inf, 1.0, (1.0 + 0j, 1j), None),
-            (0.0, math.inf, (1.0 + 0j, 1j), None),
-            (0.0, 1.0, (1.0 + 0j, 1j), [0.5, math.nan]),
-            (0.0, 1.0, (complex(math.nan, 0.0), 1j), None),
-            (0.0, 1.0, (1.0 + 0j, complex(0.0, math.inf)), None),
+            (-math.inf, 1.0, (1.0 + 0j, 1j)),
+            (0.0, math.inf, (1.0 + 0j, 1j)),
+            (0.0, math.nan, (1.0 + 0j, 1j)),
+            (0.0, 1.0, (complex(math.nan, 0.0), 1j)),
+            (0.0, 1.0, (1.0 + 0j, complex(0.0, math.inf))),
         ],
-        ids=["t0", "t1", "t_eval", "eps", "eps_dot"],
+        ids=["t0", "t1", "t1-nan", "eps", "eps_dot"],
     )
-    def test_non_finite_inputs_rejected_up_front(self, t0, t1, init, t_eval):
+    def test_non_finite_inputs_rejected_up_front(self, t0, t1, init):
         with pytest.raises(DomainError, match="finite"):
-            integrate_ode(FLAT, t0, t1, init, 1e-9, t_eval=t_eval)
+            integrate_ode(FLAT, t0, t1, init, 1e-9)
 
     @pytest.mark.parametrize("max_steps", [0, -1])
     def test_bad_step_budget_rejected_up_front(self, max_steps):
@@ -182,8 +174,7 @@ class TestIntegratorStats:
         assert stats.rhs_calls == 12 * (stats.accepted + stats.rejected)
         assert stats.accepted == len(traj.times) - 1
         steps = np.diff(traj.times)
-        assert stats.min_step == pytest.approx(steps.min(), rel=1e-9)
-        assert stats.max_step == pytest.approx(steps.max(), rel=1e-9)
+        assert (stats.min_step, stats.max_step) == (steps.min(), steps.max())
 
     def test_junction_stops_are_counted(self):
         start = (1.2 + 0.1j, 0.2 + 0.9j)
@@ -193,14 +184,20 @@ class TestIntegratorStats:
         assert integrate_ode(FIG, 2.0, 4.0, start, 1e-9).stats.junction_stops == 0
 
     def test_stops_do_not_shrink_the_next_step(self):
-        # 301 requested times 0.2 apart and two junctions between them: a step cut
-        # short to land on a stop keeps the proposal made before the cut, so the
-        # march takes about one step per requested time (609 steps without the rule)
+        # a step cut to 0.2% of its size to land on the junction at 0: the step
+        # after it keeps the proposal made before the cut, where the controller
+        # alone would grow it back from the cut step by at most 5x a step
         p = OscParams(alpha=0.0, omega=0.9998)
-        t0, t1 = -15.81, 44.19
+        t0, t1 = -15.8385, 44.1615
         (eps,), (eps_dot,) = (v.tolist() for v in amplitude([t0], p))
-        traj = integrate_ode(p, t0, t1, (eps, eps_dot), 1e-11, t_eval=np.linspace(t0, t1, 301))
-        assert traj.stats.accepted + traj.stats.rejected <= 310
+        traj = integrate_ode(p, t0, t1, (eps, eps_dot), 1e-11)
+        steps = np.diff(traj.times)
+        for tj in (0.0, p.switch_end):
+            k = int(np.flatnonzero(traj.times == tj)[0])
+            assert steps[k] >= 0.5 * steps[k - 2]
+        k = int(np.flatnonzero(traj.times == 0.0)[0])
+        assert steps[k - 1] < 0.01 * steps[k - 2]
+        assert traj.stats.accepted + traj.stats.rejected <= 302
         closed, _ = amplitude(traj.times, p)
         assert np.max(np.abs(closed - traj.eps)) < 1e-10
 
@@ -290,7 +287,7 @@ def _kernel_flat_step(y: tuple, h: float, g: float) -> tuple:
     return (x_new, y_new, u_new, v_new), (ex5, ey5, eu5, ev5), (ex3, ey3, eu3, ev3)
 
 
-def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, fixed_step=None, flat_kernel=False):
+def _loop_reference(p, t0, t1, init, tol, *, fixed_step=None, flat_kernel=False):
     """The DOP853 step as a loop over the tableau, reading Omega through omega_of.
 
     Every stage sum runs over the whole row, zero weights included.  Same
@@ -308,20 +305,12 @@ def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, fixed_step=None, flat_
         return y[2], y[3], -w2 * y[0], -w2 * y[1]
 
     y = (init[0].real, init[0].imag, init[1].real, init[1].imag)
-    stops = {t1}
-    eval_set = set()
-    if t_eval is not None:
-        eval_set = set(t_eval)
-        stops.update(x for x in t_eval if x > t0)
     junctions = {tj for tj in (0.0, p.switch_end) if t0 < tj < t1}
-    stops.update(junctions)
-    stop_list = sorted(stops)
-    record_all = t_eval is None
-    times, states = ([t0], [y]) if record_all or t0 in eval_set else ([], [])
+    stop_list = sorted(junctions | {t1})
+    times, states = [t0], [y]
     t = t0
     h = fixed_step if fixed_step is not None else min((t1 - t0) / 64.0, stop_list[0] - t0)
     si = steps = accepted = rhs_calls = junction_stops = 0
-    min_step, max_step = math.inf, 0.0
     while t < t1:
         while stop_list[si] <= t:
             si += 1
@@ -342,11 +331,9 @@ def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, fixed_step=None, flat_
             t = stop if hit else t + h_try
             y = y_new
             accepted += 1
-            min_step, max_step = min(min_step, h_try), max(max_step, h_try)
             junction_stops += hit and stop in junctions
-            if record_all or t in eval_set:
-                times.append(t)
-                states.append(y)
+            times.append(t)
+            states.append(y)
             if fixed_step is None:
                 grow = _MAX_FACTOR if err_norm == 0.0 else _SAFETY * err_norm**-0.125
                 h_next = h_try * min(_MAX_FACTOR, max(_MIN_FACTOR, grow))
@@ -355,12 +342,11 @@ def _loop_reference(p, t0, t1, init, tol, *, t_eval=None, fixed_step=None, flat_
             h = h_try * max(_MIN_FACTOR, _SAFETY * err_norm**-0.125)
             assert h >= 16.0 * sys.float_info.epsilon * max(1.0, abs(t))
         steps += 1
-    raw = np.array(states, dtype=float).reshape(len(states), 4)
-    out = np.empty((len(times), 2), dtype=complex)
-    out[:, 0] = raw[:, 0] + 1j * raw[:, 1]
-    out[:, 1] = raw[:, 2] + 1j * raw[:, 3]
+    out = np.array(states, dtype=float).reshape(len(states), 4).view(complex)
+    dt = np.diff(times)
     stats = IntegratorStats(accepted=accepted, rejected=steps - accepted, rhs_calls=rhs_calls,
-                            junction_stops=junction_stops, min_step=min_step, max_step=max_step)
+                            junction_stops=junction_stops, min_step=dt.min().item(),
+                            max_step=dt.max().item())
     return np.array(times), out, stats
 
 
@@ -368,7 +354,7 @@ def _counts(stats: IntegratorStats) -> tuple:
     return stats.accepted, stats.rejected, stats.junction_stops, stats.rhs_calls
 
 
-def _assert_matches_loop_reference(p, t0, t1, init, tol, **kw):
+def _assert_matches_loop_reference(p, t0, t1, init, tol):
     """integrate_ode against the loop reference, with and without its flat step.
 
     With the kernel's flat step in the loop, everything matches bit for bit:
@@ -377,19 +363,19 @@ def _assert_matches_loop_reference(p, t0, t1, init, tol, **kw):
     round those steps differently, which moves the step sizes in their last
     bits and the error estimates by the loop's rounding: the counts of steps,
     stops and stage evaluations stay equal, and where both record one time
-    (each requested time, or t0 and t1) the states lie within the tolerance
-    per step, plus the rounding of the time, of one another.
+    (t0 and t1 at least) the states lie within the tolerance per step, plus
+    the rounding of the time, of one another.
     """
-    traj = integrate_ode(p, t0, t1, init, tol, **kw)
-    times, states, stats = _loop_reference(p, t0, t1, init, tol, flat_kernel=True, **kw)
+    traj = integrate_ode(p, t0, t1, init, tol)
+    times, states, stats = _loop_reference(p, t0, t1, init, tol, flat_kernel=True)
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
     assert traj.stats == stats
-    times, states, stats = _loop_reference(p, t0, t1, init, tol, **kw)
+    times, states, stats = _loop_reference(p, t0, t1, init, tol)
     assert _counts(traj.stats) == _counts(stats)
     assert len(traj.times) == len(times)
     shared = traj.times == times
-    assert shared.all() if kw.get("t_eval") is not None else shared[0] and shared[-1]
+    assert shared[0] and shared[-1]
     steps = stats.accepted + stats.rejected
     bound = steps * (tol + EPS * max(abs(t0), abs(t1))) * (1.0 + np.max(np.abs(states)))
     assert np.max(np.abs(traj.states[shared] - states[shared])) <= bound
@@ -419,11 +405,6 @@ class TestKernelMatchesLoopReference:
         stats = _assert_matches_loop_reference(OscParams(alpha=0.999), -3.0, 4.0, self.START, 1e-12)
         assert stats.rejected > 0
 
-    def test_requested_times(self):
-        p = OscParams(alpha=0.6, omega=1.25)
-        ts = [-2.0, -0.5, 0.0, 0.3, p.switch_end, 2.0, 7.5]
-        _assert_matches_loop_reference(p, -2.0, 7.5, self.START, 1e-9, t_eval=ts)
-
     # The cases below pin where the kernel takes the flat step (wholly before
     # or after the window) and where it reads Omega at every stage.
 
@@ -431,6 +412,12 @@ class TestKernelMatchesLoopReference:
     def test_last_step_lands_on_zero(self, tol):
         # the final step ends exactly on t = 0.0, which is inside the window
         _assert_matches_loop_reference(OscParams(alpha=0.97), -2.0, 0.0, self.START, tol)
+
+    def test_across_both_junctions(self):
+        # one window holds both stops, on a frequency other than 1
+        p = OscParams(alpha=0.6, omega=1.25)
+        stats = _assert_matches_loop_reference(p, -2.0, 7.5, self.START, 1e-9)
+        assert stats.junction_stops == 2
 
     def test_start_on_the_window_end(self):
         p = OscParams(alpha=0.97)
@@ -448,20 +435,14 @@ class TestKernelMatchesLoopReference:
 @settings(max_examples=40, deadline=None)
 @given(aw=st.floats(0.0, 0.999), omega=st.floats(0.5, 2.0), t0=st.floats(-30.0, 1010.0),
        span=st.floats(0.01, 8.0), log_tol=st.floats(-13.0, -3.0),
-       mode=st.sampled_from(["adaptive", "t_eval"]),
        start=st.tuples(st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
                        st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)))
-# span*5/5.0 rounds above span here; the last requested time must be t1 itself
-@example(aw=0.0, omega=1.0, t0=0.0, span=6.768561452762508, log_tol=-3.0, mode="t_eval",
-         start=(0j, 0j))
 # a zero fifth-order error sum whose third-order one vanishes only when scaled by 0.01
-@example(aw=0.0, omega=1.0, t0=0.0, span=1.0, log_tol=-3.0, mode="adaptive",
+@example(aw=0.0, omega=1.0, t0=0.0, span=1.0, log_tol=-3.0,
          start=(0j, 4.837631487464236e-163 + 0j))
-def test_kernel_matches_the_loop_reference(aw, omega, t0, span, log_tol, mode, start):
-    t_eval = [t0 + span * k / 5.0 for k in range(5)] + [t0 + span]
-    kw = {"adaptive": {}, "t_eval": {"t_eval": t_eval}}[mode]
+def test_kernel_matches_the_loop_reference(aw, omega, t0, span, log_tol, start):
     _assert_matches_loop_reference(OscParams(alpha=aw / omega, omega=omega), t0, t0 + span,
-                                   start, 10.0**log_tol, **kw)
+                                   start, 10.0**log_tol)
 
 
 _A_EXACT = [[Fraction(a) for a in row] for row in _A]
@@ -544,14 +525,15 @@ class TestFlatStep:
 
     @pytest.mark.parametrize("t0, t1", [(-1260.0, -1.0), (2.0, 1780.0)], ids=["before", "after"])
     def test_long_march_gathers_no_more_error_than_the_loop(self, t0, t1):
-        # over 200 periods wholly before or after the switch, with a stop every
-        # 1/8 so that every step has one size: a rounding the step repeats at
-        # that size would add up step by step
+        # over 200 periods wholly before or after the switch, the kernel's flat
+        # step against the stage loop, both at one fixed step of 1/8: a rounding
+        # the step repeats at that size would add up step by step
         p = OscParams(alpha=0.5)
-        ts = (np.arange(8.0 * t0, 8.0 * t1 + 1.0) / 8.0).tolist()
         (eps0,), (eps_dot0,) = (v.tolist() for v in amplitude([t0], p))
-        traj = integrate_ode(p, t0, t1, (eps0, eps_dot0), 1e-11, t_eval=ts)
-        times, states, _ = _loop_reference(p, t0, t1, (eps0, eps_dot0), 1e-11, t_eval=ts)
+        kernel_times, kernel, _ = _loop_reference(p, t0, t1, (eps0, eps_dot0), 1e-11,
+                                                  fixed_step=0.125, flat_kernel=True)
+        times, states, _ = _loop_reference(p, t0, t1, (eps0, eps_dot0), 1e-11, fixed_step=0.125)
+        assert kernel_times.tobytes() == times.tobytes() and len(times) == 8 * (t1 - t0) + 1
         closed, _ = amplitude(times, p)
 
         def error_and_drift(s):
@@ -560,8 +542,8 @@ class TestFlatStep:
 
         # no worse, up to the spread of one unbiased rounding per step
         slack = math.sqrt(len(times)) * EPS * np.max(np.abs(states))
-        for kernel, loop in zip(error_and_drift(traj.states), error_and_drift(states)):
-            assert kernel <= loop + slack
+        for flat, loop in zip(error_and_drift(kernel), error_and_drift(states)):
+            assert flat <= loop + slack
 
 
 class TestQuadrature:
@@ -680,27 +662,30 @@ class TestFindRoot:
             find_root(np.cos, [1.0], [2.0], 1e-13, max_iter=3)
 
     @pytest.mark.parametrize("aw", [0.5, 0.97])
-    def test_envelope_slope_brackets_close_in_few_calls(self, aw):
-        # the brackets of validate's search, over three post-switch periods: the
-        # secant reaches each zero from one side, and the next secant point, set
-        # tol past it, closes the bracket (41-44 calls without the tol step)
-        p = OscParams(alpha=aw)
+    def test_validate_oracle_polish_closes_in_few_calls(self, aw, monkeypatch):
+        # validate's search for the coherent instants, on the brackets between
+        # the oracle's steps over three post-switch periods: the secant reaches
+        # each zero from one side, and the next secant point, set tol past it,
+        # closes the bracket
+        calls = []
+
+        def counted(f, lo, hi, tol):
+            def f_counted(t):
+                calls.append(t.size)
+                return f(t)
+            return find_root(f_counted, lo, hi, tol)
+
+        monkeypatch.setattr(cli, "find_root", counted)
+        cfg = cli._resolve_config(cli._build_parser().parse_args(
+            ["validate", f"--alpha={aw}", "--grid-n=16"]))
+        checks = {c["name"]: c for c in cli.build_validation_report(cfg)["checks"]}
+        p = cfg.params
         spacing = math.pi / (2.0 * p.final_frequency)
-        t_lo, t_hi = p.switch_end, p.switch_end + 12.0 * spacing
-        ts, changes = slope_sign_changes(p, t_lo, t_hi)
-        sizes = []
-
-        def slope(t):
-            sizes.append(t.size)
-            return envelope_slope(t, p)
-
-        tol = 1e-13
-        roots = find_root(slope, ts[changes], ts[changes + 1], tol)
-        assert len(sizes) <= 12
-        kept = roots[(roots - t_lo > 1e-6 * spacing) & (t_hi - roots > 1e-6 * spacing)]
-        instants = t_lo + np.round((kept - t_lo) / spacing) * spacing
+        kept = np.array(checks["coherent_instants"]["evidence"]["found_t"])
+        instants = p.switch_end + np.round((kept - p.switch_end) / spacing) * spacing
+        assert 0 < len(calls) <= 12
         assert kept.size == 11
-        assert np.max(np.abs(kept - instants)) <= 2.0 * tol
+        assert np.max(np.abs(kept - instants)) <= 1e-9 * spacing
 
 
 def _assert_lanes_match_scalar_reference(f, lo, hi, tol, max_iter=200):

@@ -53,9 +53,9 @@ EDGE_CASES = (
     # scans past t = 1024, where the doubles are coarser than a 1e-13 root tolerance
     ("coherence", "--t0=1030", "--t1=1060"),
     ("coherence", "--alpha=0.3", "--t0=1000", "--t1=1100"),
-    # a validate window whose 301 requested times leave a short step before each
-    # junction; its ode_max_error_* pin the integrator's step rule at stops
-    ("validate", "--alpha=0", "--omega=0.9998", "--t0=-15.81", "--t1=44.19", "--format=json"),
+    # a validate window just wider than the switch window, so that both junctions
+    # cut the oracle's steps inside it and it holds only a few of them
+    ("validate", "--alpha=0.97", "--t0=-0.05", "--t1=1.6", "--format=json"),
     # a table window the doubles cannot resolve
     ("epsilon", "--t0=1e20", "--t1=1.0000000000001e20", "--samples=3"),
     # flag values that do not convert to their setting's type, or are empty
