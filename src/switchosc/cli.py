@@ -25,10 +25,10 @@ from .classical import amplitude, modulus, wronskian_of
 from .emit import format_float, table_chunks
 from .errors import DomainError, RangeError, SwitchOscError
 from .frequency import OscParams, omega_profile, require_resolved
-from .numerics import _flat_step, derivative, find_root, integrate_ode, quadrature
+from .numerics import MAX_STEPS, _flat_step, derivative, find_root, integrate_ode, quadrature
 from .quantum import (MAX_SAMPLES, coherence_scan, conserved_pair_of, first_moments_of,
                       second_moments_of)
-from .wigner import grid_integral, grid_to_csv, grid_to_json, wigner_grid
+from .wigner import grid_csv_pieces, grid_integral, grid_json_pieces, wigner_grid
 
 # size caps, checked before anything is allocated; MAX_SAMPLES comes from quantum
 MAX_GRID_N = 2048
@@ -51,6 +51,12 @@ _SETTINGS = (
 )
 # the type of each key a flag or the config file may set; the output path is not echoed
 _TYPES = {key: typ for key, typ, _, _ in _SETTINGS} | {"out": str}
+# validate's oracle: its tolerance, and a floor under the steps it accepts per
+# period where Omega is flat. At this tolerance it accepted 31.35 or more per
+# period on every stretch measured (omega 1e-12 to 1e12, alpha*omega 0 to
+# 0.999999); tests/test_cli.py checks the floor on every prefix of a stretch
+_ORACLE_TOL = 1e-11
+_ORACLE_STEPS_PER_PERIOD = 30.75
 
 
 @dataclass(frozen=True)
@@ -172,6 +178,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         quarter = math.pi / (2.0 * params.initial_frequency)
         for name, value in (("t0", t0), ("t1", t1), ("t", t)):
             require_resolved(name, value, quarter)
+    if args.command == "validate":
+        _require_oracle_budget(params, t0, t1)
     n_sigma, grid_n = s["n_sigma"], s["grid_n"]
     if not (n_sigma >= 3.0 and math.isfinite(n_sigma)):
         raise DomainError(f"n_sigma must be finite and at least 3, got {n_sigma!r}")
@@ -182,6 +190,25 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     # the resolved window replaces t0 and t1 in their places
     header = {"command": args.command, **s, "t0": t0, "t1": t1}
     return RunConfig(header=header, params=params, z=z, out=vals.get("out"))
+
+
+def _require_oracle_budget(p: OscParams, t0: float, t1: float) -> None:
+    """Refuse a ``validate`` window whose oracle the step budget cannot cover.
+
+    The oracle runs from min(t0, 0) to t1 or beyond. Its two flat stretches,
+    up to 0 and past the switch end, take at least _ORACLE_STEPS_PER_PERIOD
+    steps in each period after their first, so a window that needs more
+    than MAX_STEPS of them would exhaust the budget.
+    """
+    s0 = min(t0, 0.0)
+    periods = (max(0.0, (min(t1, 0.0) - s0) * p.initial_frequency / (2.0 * math.pi) - 1.0)
+               + max(0.0, (t1 - p.switch_end) * p.final_frequency / (2.0 * math.pi) - 1.0))
+    steps = _ORACLE_STEPS_PER_PERIOD * periods
+    if steps > MAX_STEPS:
+        raise DomainError(
+            f"validate window t0={t0!r}, t1={t1!r} is too long for the oracle: it integrates "
+            f"from {s0!r} to {t1!r}, at least {steps:.0f} steps, beyond its budget of {MAX_STEPS}"
+        )
 
 
 def _write_text(text: str | Iterable[str], out: str | None) -> None:
@@ -265,7 +292,7 @@ def _cmd_moments(cfg: RunConfig) -> int:
     return _emit_table(cfg, cols, rows)
 
 
-# run parameters that grid_to_csv and grid_to_json write themselves (mass as m)
+# run parameters that grid_csv_pieces and grid_json_pieces write themselves (mass as m)
 _GRID_META_KEYS = frozenset({"t", "mass", "hbar", "alpha", "omega", "z_re", "z_im"})
 
 
@@ -277,11 +304,12 @@ def _cmd_wigner(cfg: RunConfig) -> int:
     norm = grid_integral(grid)
     extra = [(k, _fmt_any(v)) for k, v in cfg.header.items() if k not in _GRID_META_KEYS]
     extra.append(("normalization", format_float(norm)))
+    # the grid goes out a block at a time, never held as one string
     if cfg.format == "csv":
-        text = grid_to_csv(grid, comments=tuple(extra))
+        pieces = grid_csv_pieces(grid, comments=tuple(extra))
     else:
-        text = grid_to_json(grid, extra_meta=dict(extra))
-    _write_text(text, cfg.out)
+        pieces = grid_json_pieces(grid, extra_meta=dict(extra))
+    _write_text(pieces, cfg.out)
     if cfg.out is not None:
         print(f"normalization = {format_float(norm)}")
     return 0
@@ -345,7 +373,7 @@ def build_validation_report(cfg: RunConfig) -> dict:
     c, s = math.cos(w0 * s0), math.sin(w0 * s0)
     start = (complex(p.before_re * c, p.before_im * s),
              complex(-p.before_re * w0 * s, p.before_im * w0 * c))
-    traj = integrate_ode(p, s0, s1, start, tol=1e-11)
+    traj = integrate_ode(p, s0, s1, start, tol=_ORACLE_TOL)
 
     # -- post-switch phase constant -----------------------------------------
     computed = p.junction_phase

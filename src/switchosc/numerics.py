@@ -289,6 +289,8 @@ class Trajectory:
 
 
 _RECORD = Struct("5d")  # one trajectory record: t, then the (x, y, u, v) state
+# the steps, accepted or rejected, that integrate_ode attempts by default
+MAX_STEPS = 2_000_000
 
 
 def integrate_ode(
@@ -298,7 +300,7 @@ def integrate_ode(
     init: tuple[complex, complex],
     tol: float,
     *,
-    max_steps: int = 2_000_000,
+    max_steps: int = MAX_STEPS,
 ) -> Trajectory:
     """Integrate eps'' + Omega(t)^2 * eps = 0 as a 4-dimensional real system.
 

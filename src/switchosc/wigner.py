@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -39,15 +40,22 @@ class WignerGrid:
     z: complex
 
 
-def _density(dq, dp, cov: CovarianceState, hbar: float):
+def _density(dq, dp, cov: CovarianceState, hbar: float) -> np.ndarray:
     """The density at offsets (dq, dp) from the means, for floats or broadcast arrays.
 
     exp{-(2/hbar^2)[sq2*dp^2 - 2*cqp*dp*dq + sp2*dq^2]} normalized by
     1/(pi*hbar); the peak value 1/(pi*hbar) sits exactly at the means for
-    every instant (purity is conserved).
+    every instant (purity is conserved).  The result, an array of the
+    broadcast shape, is the one full-size array: each operation after the
+    cross term writes into it, in the order the expression reads.
     """
-    expo = -(2.0 / (hbar * hbar)) * (cov.sq2 * dp * dp - 2.0 * cov.cqp * dp * dq + cov.sp2 * dq * dq)
-    return np.exp(expo) / (math.pi * hbar)
+    w = np.asarray(2.0 * cov.cqp * dp * dq)
+    np.subtract(cov.sq2 * dp * dp, w, out=w)
+    np.add(w, cov.sp2 * dq * dq, out=w)
+    np.multiply(-(2.0 / (hbar * hbar)), w, out=w)
+    np.exp(w, out=w)
+    np.divide(w, math.pi * hbar, out=w)
+    return w
 
 
 def wigner_value(q: float, p: float, fm: FirstMoments, cov: CovarianceState,
@@ -171,26 +179,46 @@ def _meta_items(g: WignerGrid) -> list[tuple[str, str]]:
     ]
 
 
+def grid_csv_pieces(g: WignerGrid, comments: tuple[tuple[str, str], ...] = ()) -> Iterator[str]:
+    """The text of :func:`grid_to_csv` in pieces: the metadata head, blocks of rows, the tail.
+
+    Raises:
+        RangeError: while iterating, if a value is NaN or infinite.
+    """
+    lines = [f"# {k} = {v}" for k, v in (*_meta_items(g), *comments)]
+    lines.append("q,p,w\n")
+    yield "\n".join(lines)
+    yield from grid_chunks(g.q_axis, g.p_axis, g.values)
+    yield "\n"
+
+
+def grid_json_pieces(g: WignerGrid, extra_meta: dict | None = None) -> Iterator[str]:
+    """The text of :func:`grid_to_json` in pieces: the metadata, each array in blocks, the tail.
+
+    Raises:
+        RangeError: while iterating, if a value is NaN or infinite.
+    """
+    meta: dict = {k: v for k, v in _meta_items(g)}
+    if extra_meta:
+        meta.update(extra_meta)
+    # laid out as json.dumps writes {"meta": ..., "q_axis": [...], "p_axis": [...], "values": [...]}
+    yield '{"meta":' + json.dumps(meta, separators=(",", ":"))
+    for key, a in (("q_axis", g.q_axis), ("p_axis", g.p_axis), ("values", g.values)):
+        yield f',"{key}":['
+        yield from table_chunks(np.reshape(a, (1, -1)), ",", "")
+        yield "]"
+    yield "}\n"
+
+
 def grid_to_csv(g: WignerGrid, comments: tuple[tuple[str, str], ...] = ()) -> str:
     """Render the grid as '(q, p, w)' triplet rows with '#' metadata comments.
 
     Values are written with full round-trip precision (better than the 15
     significant digits the format guarantees).
     """
-    lines = [f"# {k} = {v}" for k, v in (*_meta_items(g), *comments)]
-    lines.append("q,p,w\n")
-    return "".join(["\n".join(lines), *grid_chunks(g.q_axis, g.p_axis, g.values), "\n"])
+    return "".join(grid_csv_pieces(g, comments))
 
 
 def grid_to_json(g: WignerGrid, extra_meta: dict | None = None) -> str:
     """Render the grid as compact JSON: metadata, both axes, row-major values."""
-    meta: dict = {k: v for k, v in _meta_items(g)}
-    if extra_meta:
-        meta.update(extra_meta)
-    # laid out as json.dumps writes {"meta": ..., "q_axis": [...], "p_axis": [...], "values": [...]}
-    arrays = (("q_axis", g.q_axis), ("p_axis", g.p_axis), ("values", g.values))
-    pieces = ['{"meta":', json.dumps(meta, separators=(",", ":"))]
-    for key, a in arrays:
-        pieces += [f',"{key}":[', *table_chunks(np.reshape(a, (1, -1)), ",", ""), "]"]
-    pieces.append("}\n")
-    return "".join(pieces)
+    return "".join(grid_json_pieces(g, extra_meta))

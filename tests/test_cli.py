@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import switchosc
-from switchosc import OscParams, conserved_pair, epsilon, first_moments, omega_of, second_moments
+from switchosc import (OscParams, conserved_pair, epsilon, first_moments, integrate_ode, omega_of,
+                       second_moments)
 from switchosc import cli, quantum
 from switchosc.cli import MAX_GRID_N, MAX_SAMPLES, _build_parser, _resolve_config, main
 from switchosc.quantum import CoherenceEvent, CoherenceScanResult
@@ -188,6 +189,34 @@ class TestWigner:
         assert code == 0
         meta = json.loads(out)["meta"]
         assert meta["m"] == "1.0" and "mass" not in meta
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_grid_is_written_without_its_text_in_memory(self, tmp_path, fmt):
+        # a 1024^2 grid is 63 MB of CSV or 23 MB of JSON; joined into one string
+        # before writing, it grew the peak RSS by about 150 and 64 MiB.
+        # VmHWM, unlike ru_maxrss, starts afresh in the exec'd interpreter
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status")
+        code = (
+            "import sys\n"
+            "from switchosc import cli\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as f:\n"
+            "        return int(next(ln for ln in f if ln.startswith('VmHWM:')).split()[1])\n"
+            "argv = ['wigner', '--format', sys.argv[1], '--out', sys.argv[2]]\n"
+            "assert cli.main([*argv, '--grid-n=16']) == 0\n"
+            "before = peak()\n"
+            "assert cli.main([*argv, '--grid-n=1024']) == 0\n"
+            "print(peak() - before)\n"
+        )
+        out = tmp_path / f"grid.{fmt}"
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", code, fmt, str(out)], check=True,
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        size = out.stat().st_size
+        out.unlink()
+        assert size > 20 * 2 ** 20
+        assert int(proc.stdout.splitlines()[-1]) <= 32 * 1024  # KiB
 
     def test_too_coarse_grid_rejected(self, capsys):
         assert run(capsys, "wigner", "--grid-n", "4")[0] == 2
@@ -513,6 +542,35 @@ class TestValidate:
         inst = {c["name"]: c for c in json.loads(out)["checks"]}["coherent_instants"]
         assert inst["verdict"].startswith(verdict)
         assert len(inst["evidence"]["found_t"]) == 11
+
+    def test_span_beyond_the_step_budget_is_refused_before_any_step(self, capsys):
+        # the oracle would integrate 65,000 periods from 0; it ran out of its
+        # 2,000,000 steps after about 10 s
+        code, out, err = run(capsys, "validate", "--alpha", "0", "--t0", "4.1e5", "--t1", "410060")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "t0=410000.0, t1=410060.0" in err and "budget of 2000000" in err
+
+    @pytest.mark.parametrize("aw", [0.0, 0.5, 0.97, 0.999999])
+    @pytest.mark.parametrize("omega", [1e-8, 0.1, 1.0, 3.0, 1e8])
+    def test_oracle_steps_stay_above_the_refusal_floor(self, omega, aw):
+        # so a refused window is one the oracle could not cover: on each flat
+        # stretch, up to every accepted step, each period after the first took
+        # at least _ORACLE_STEPS_PER_PERIOD steps
+        p = OscParams(alpha=aw / omega, omega=omega)
+        w0, w3 = p.initial_frequency, p.final_frequency
+        s0, s1 = -40.0 * math.pi / w0, p.switch_end + 40.0 * math.pi / w3
+        c, s = math.cos(w0 * s0), math.sin(w0 * s0)
+        start = (complex(p.before_re * c, p.before_im * s),
+                 complex(-p.before_re * w0 * s, p.before_im * w0 * c))
+        times = integrate_ode(p, s0, s1, start, tol=cli._ORACLE_TOL).times
+        for lo, hi, w in ((s0, 0.0, w0), (p.switch_end, s1, w3)):
+            stretch = times[(times >= lo) & (times <= hi)]
+            periods = (stretch[1:] - lo) * w / (2.0 * math.pi)
+            steps = np.arange(1, len(stretch))
+            assert periods[-1] > 19.0
+            assert np.all(steps >= cli._ORACLE_STEPS_PER_PERIOD * (periods - 1.0))
 
     def test_scan_without_events_has_no_computed_value(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "coherence_scan",

@@ -178,9 +178,14 @@ class TestOutputsMatchTheReferenceRenderers:
         assert grid_to_json(g, dict(comments)) == reference_emit.grid_to_json(g, dict(comments))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_wigner_command(self, capsys, monkeypatch, fmt):
-        # 65 * 65 values span two blocks
-        calls = recorded(monkeypatch, f"grid_to_{fmt}")
-        assert cli.main(["wigner", f"--format={fmt}", "--grid-n=65", "--t=0.8"]) == 0
-        ((args, kwargs),) = calls
-        assert capsys.readouterr().out == getattr(reference_emit, f"grid_to_{fmt}")(*args, **kwargs)
+    def test_wigner_command(self, capsys, monkeypatch, tmp_path, fmt):
+        # 65 * 65 values span two blocks; the grid goes to stdout, then to a file
+        calls = recorded(monkeypatch, f"grid_{fmt}_pieces")
+        argv = ["wigner", f"--format={fmt}", "--grid-n=65", "--t=0.8"]
+        out = tmp_path / "grid"
+        assert cli.main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert cli.main([*argv, f"--out={out}"]) == 0
+        assert len(calls) == 2
+        for (args, kwargs), written in zip(calls, (stdout, out.read_text())):
+            assert written == getattr(reference_emit, f"grid_to_{fmt}")(*args, **kwargs)
