@@ -17,11 +17,19 @@ minimum is left out (its ``s >= 100`` guard and its tenfold subnormals),
 since Python writes ``5e-324`` where Java writes ``4.9E-324``. The 64x64-bit
 high products are taken on 32-bit limbs.
 
-Each value is then written into fixed fields of 4-digit groups taken from a
-table: sign, integer digits, point, fraction digits and exponent. NUL bytes
-stand for the leading and trailing zeros that are not written, and
-``bytes.translate`` drops them from a whole block of values at once. The
-tables are built on the first array call, not at import.
+Each value is then written as little-endian uint32 words of 4-digit groups
+taken from a table, one word plane at a time: a sign word, four integer
+words, the point, five fraction words and two exponent words. A block of
+values writes only the planes some value of it needs: the sign word only if
+some value has its sign bit set (``-0.0`` too), one integer word in place of
+four when every integer part is below 10**4, and the exponent words only if
+some value is written in exponent notation. NUL bytes stand for the leading
+and trailing zeros that are not written, and ``bytes.translate`` drops them
+from a whole block of values at once. A table's blocks share one word
+buffer, viewed at each block's width; a grid's lines are laid out in one
+buffer that holds the ``p,`` parts, commas and newlines, rebuilt only when a
+block's width differs from the last one's. The tables are built on the first
+array call, not at import.
 """
 
 from __future__ import annotations
@@ -34,15 +42,17 @@ import numpy as np
 
 from .errors import RangeError
 
-# below this many values a table is written by repr. The array path costs
-# about 0.45 ms more per call and 0.8 us less per value; its first call in a process
-# also builds the tables, about 4.5 ms and 0.8 MiB, and then breaks even near 2400
+# below this many values a table is written by repr. The array path costs about
+# 0.4 ms more per call and about a third of repr's time per value, and breaks even
+# between 128 and 256 values; its first call in a process also builds the tables,
+# about 1.5 ms and 0.6 MiB, and then breaks even near 256. A lower threshold raises
+# the peak RSS of runs that write only small tables (0.7 MiB at 512)
 SMALL_TABLE = 2048
 # values formatted at a time, so temporaries stay a few MiB whatever the table size
 BLOCK = 4096
-# uint32 words of one formatted value: sign, 16 integer digits, point, 20 fraction
-# digits, and 'e', exponent sign and up to 3 exponent digits
-_CELL_WORDS = 13
+# uint32 words of one formatted value at most: sign, 16 integer digits, point,
+# 20 fraction digits, and 'e', exponent sign and up to 3 exponent digits
+_MAX_WORDS = 13
 
 _K_MIN, _K_MAX = -324, 292
 _M32 = 0xFFFFFFFF
@@ -60,25 +70,38 @@ def format_float(x: float) -> str:
 @functools.cache
 def _tables() -> SimpleNamespace:
     """Powers of ten, digit groups and exponents, built on the first array call."""
-    # g = floor(10**-k / 2**r) + 1 in [2**125, 2**126), split as g1 * 2**63 + g0
-    g = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        p = 10 ** abs(k)
+    # g = floor(10**-k / 2**r) + 1 in [2**125, 2**126), split as g1 * 2**63 + g0;
+    # p runs through 10**|k| for k = 0, -1, ..., _K_MIN, serving k = |k| on the way
+    g = [0] * (_K_MAX - _K_MIN + 1)
+    p = 1
+    for j in range(-_K_MIN + 1):
         n = p.bit_length()
-        g.append((p << 126 >> n if k <= 0 else (1 << (n + 125)) // p) + 1)
+        g[-j - _K_MIN] = (p << 126 >> n) + 1
+        if 0 < j <= _K_MAX:
+            g[j - _K_MIN] = (1 << (n + 125)) // p + 1
+        p *= 10
     g1 = np.array([v >> 63 for v in g], dtype=np.uint64)
     g0 = np.array([v & _M63 for v in g], dtype=np.uint64)
 
-    # the digits of 0..9999, and which of them are leading or trailing zeros;
-    # a NUL byte stands for nothing: the writer drops it
-    digits = np.indices((10,) * 4).reshape(4, -1).T
-    zero = digits == 0
-    lead = np.logical_and.accumulate(zero, axis=1)
-    trail = np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]
+    # the four digits of each of 0..9999 as one little-endian word, most significant
+    # first; a NUL byte stands for nothing: the writer drops it
+    chars = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for j in range(4):
+        chars[..., j] = np.arange(48, 58, dtype=np.uint8).reshape((-1,) + (1,) * (3 - j))
+    full = chars.view("<u4").reshape(-1)
+    # how many digits each mode keeps: the last ones, past the leading zeros, or the
+    # first ones, before the trailing zeros; the _LEAD1 and _TRAIL1 modes keep one of 0
+    lead = np.full(10000, 4, dtype=np.uint8)
+    trail = lead.copy()
+    for j in range(4):
+        lead[:10 ** (3 - j)] = 3 - j
+        trail[::10 ** (j + 1)] = 3 - j
     lead1, trail1 = lead.copy(), trail.copy()
-    lead1[:, 3] = trail1[:, 0] = False
-    digits = (digits + 48).astype(np.uint8)
-    groups = np.concatenate([digits * ~blank for blank in (zero & False, lead, lead1, trail, trail1)])
+    lead1[0] = trail1[0] = 1
+    last = np.array([0, 0xFF000000, 0xFFFF0000, 0xFFFFFF00, 0xFFFFFFFF], dtype=np.uint32)
+    first = np.array([0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF], dtype=np.uint32)
+    groups = np.concatenate([full & keep.take(n) for keep, n in
+                             ((last, 4), (last, lead), (last, lead1), (first, trail), (first, trail1))])
 
     # 'e', sign and two or three digits of each exponent -324..308, then none
     e = np.arange(-324, 309)
@@ -90,7 +113,7 @@ def _tables() -> SimpleNamespace:
     exp[:-1, 4] = np.where(a >= 100, 48 + a % 10, 0)
 
     return SimpleNamespace(g1=g1, g0=g0, pow10=10 ** np.arange(19, dtype=np.int64),
-                           groups=groups.view("<u4")[:, 0], exp=exp.view("<u4"))
+                           groups=groups, exp=exp.view("<u4"))
 
 
 def _wide(a_hi, a_lo, b):
@@ -123,21 +146,25 @@ def _shortest(bits: np.ndarray):
     i = k - _K_MIN
     g1 = t.g1.take(i)
     g0 = t.g0.take(i)
-    g1h, g1l, g0h, g0l = g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32
     # g * (4c << h) in full, then g * (4c + 2 << h) and g * (4c - 2 + asym << h)
-    # by adding and subtracting g shifted by h + 1 or h bits
+    # by adding and subtracting g shifted by h + 1 or h bits. Each intermediate is
+    # dropped once dead: freed all at once at the end of a block, the block's
+    # working memory went back to the OS and was faulted in again by the next block
     cp = c << (h + 2)
-    y1, y0 = _wide(g1h, g1l, cp)
-    x1, x0 = _wide(g0h, g0l, cp)
+    y1, y0 = _wide(g1 >> 32, g1 & _M32, cp)
+    x1, x0 = _wide(g0 >> 32, g0 & _M32, cp)
+    del cp
     vb = _rop(y1, y0, x1)
     up = h + 1
     y0r = y0 + (g1 << up)
     x0r = x0 + (g0 << up)
     vbr = _rop(y1 + (g1 >> (64 - up)) + (y0r < y0), y0r, x1 + (g0 >> (64 - up)) + (x0r < x0))
+    del y0r, x0r
     down = up - asym
     d1 = g1 << down
     d0 = g0 << down
     vbl = _rop(y1 - (g1 >> (64 - down)) - (y0 < d1), y0 - d1, x1 - (g0 >> (64 - down)) - (x0 < d0))
+    del g1, g0, y1, y0, x1, x0, d1, d0, up, down, h
     # the scaled value and interval ends are below 2**59: the rest runs on int64
     vb, vbl, vbr = vb.view(np.int64), vbl.view(np.int64), vbr.view(np.int64)
     # an interval end is a candidate only for even c (round half to even on reading)
@@ -165,11 +192,17 @@ def _split(v):
     return a, hi - a * 10000, b, lo - b * 10000
 
 
-def _fill_cells(x: np.ndarray, out: np.ndarray) -> None:
-    """Write the repr of each value of the 1-D array ``x`` into the rows of ``out``.
+def _fill_planes(x: np.ndarray, first: int, rows) -> np.ndarray:
+    """Write the repr of each value of the 1-D array ``x`` as uint32 words, one plane per word.
 
-    ``out`` is a (len(x), _CELL_WORDS) array of little-endian uint32 words;
-    their bytes, NULs dropped, spell each value's repr.
+    The values decide how many words each of them gets, n: a sign word if
+    some value has its sign bit set, four integer words if some integer part
+    is 10**4 or more and one otherwise, the point, five fraction words, and
+    two exponent words if some value is written in exponent notation.
+    ``rows(n)`` returns a 2-D array of little-endian uint32 words, of at
+    least len(x) rows; the words of value j go into row j, columns
+    ``first`` to ``first + n``, and their bytes, NULs dropped, spell its repr.
+    Returns the first len(x) rows. The digit arrays are released on return.
     """
     _check_finite(x)
     t = _tables()
@@ -198,26 +231,41 @@ def _fill_cells(x: np.ndarray, out: np.ndarray) -> None:
     g0 = frac // div
     r = (frac - g0 * div) * pow10.take(np.minimum(m, 16))
     g0 *= pow10.take(np.maximum(m - 16, 0))
+    # what the planes do not read goes now, as in _shortest
+    del f, k, zero, nd, pe, div, m
 
+    negative = bool(bits.max() >> 63)
+    wide = bool(i.max() >= 10000)
+    any_sci = bool(sci.any())
+    n = negative + (4 if wide else 1) + 6 + 2 * any_sci
+    out = rows(n)[:len(x)]
+    # each plane is the next column of the value's words, written as it is computed
+    planes = iter(out[:, first:first + n].T)
     groups = t.groups
-    out[:, 0] = (bits >> 63) * ord("-")
-    i0, i1, i2, i3 = _split(i)
-    out[:, 1] = groups.take(i0 + _LEAD)
-    out[:, 2] = groups.take(i1 + np.where(i0 == 0, _LEAD, _FULL))
-    high = i0 + i1 == 0
-    out[:, 3] = groups.take(i2 + np.where(high, _LEAD, _FULL))
-    out[:, 4] = groups.take(i3 + np.where(high & (i2 == 0), _LEAD1, _FULL))
+    if negative:
+        next(planes)[:] = (bits >> 63) * ord("-")
+    if wide:
+        i0, i1, i2, i3 = _split(i)
+        next(planes)[:] = groups.take(i0 + _LEAD)
+        next(planes)[:] = groups.take(i1 + np.where(i0 == 0, _LEAD, _FULL))
+        high = i0 + i1 == 0
+        next(planes)[:] = groups.take(i2 + np.where(high, _LEAD, _FULL))
+        next(planes)[:] = groups.take(i3 + np.where(high & (i2 == 0), _LEAD1, _FULL))
+    else:
+        next(planes)[:] = groups.take(i + _LEAD1)
+    next(planes)[:] = np.where(sci & (frac == 0), 0, ord("."))
+    next(planes)[:] = groups.take(g0 + np.where(r == 0, np.where(sci, _TRAIL, _TRAIL1), _FULL))
     r0, r1, r2, r3 = _split(r)
-    out[:, 5] = np.where(sci & (frac == 0), 0, ord("."))
-    out[:, 6] = groups.take(g0 + np.where(r == 0, np.where(sci, _TRAIL, _TRAIL1), _FULL))
     low = r2 + r3 == 0
-    out[:, 7] = groups.take(r0 + np.where(low & (r1 == 0), _TRAIL, _FULL))
-    out[:, 8] = groups.take(r1 + np.where(low, _TRAIL, _FULL))
-    out[:, 9] = groups.take(r2 + np.where(r3 == 0, _TRAIL, _FULL))
-    out[:, 10] = groups.take(r3 + _TRAIL)
-    e = np.where(sci, p + 323, len(t.exp) - 1)
-    out[:, 11] = t.exp[:, 0].take(e)
-    out[:, 12] = t.exp[:, 1].take(e)
+    next(planes)[:] = groups.take(r0 + np.where(low & (r1 == 0), _TRAIL, _FULL))
+    next(planes)[:] = groups.take(r1 + np.where(low, _TRAIL, _FULL))
+    next(planes)[:] = groups.take(r2 + np.where(r3 == 0, _TRAIL, _FULL))
+    next(planes)[:] = groups.take(r3 + _TRAIL)
+    if any_sci:
+        e = np.where(sci, p + 323, len(t.exp) - 1)
+        next(planes)[:] = t.exp[:, 0].take(e)
+        next(planes)[:] = t.exp[:, 1].take(e)
+    return out
 
 
 def _check_finite(*arrays) -> None:
@@ -247,21 +295,27 @@ def table_chunks(a, sep: str, row_sep: str) -> Iterator[str]:
     n_cols = a.shape[1]
     flat = a.reshape(-1)
     seps = [int.from_bytes(text.encode("ascii"), "little") for text in (sep, row_sep)]
+    # one buffer for every block, viewed at the block's width: its value words and a separator
+    cap = min(flat.size, BLOCK)
+    buf = np.empty(cap * (_MAX_WORDS + 1), dtype="<u4")
+
+    def rows(n):
+        return buf[:cap * (n + 1)].reshape(cap, n + 1)
+
     for start in range(0, flat.size, BLOCK):
-        block = flat[start:start + BLOCK]
-        out = np.empty((len(block), _CELL_WORDS + 1), dtype="<u4")
-        _fill_cells(block, out[:, :_CELL_WORDS])
-        out[:, _CELL_WORDS] = seps[0]
-        out[(n_cols - 1 - start) % n_cols::n_cols, _CELL_WORDS] = seps[1]
+        out = _fill_planes(flat[start:start + BLOCK], 0, rows)
+        out[:, -1] = seps[0]
+        out[(n_cols - 1 - start) % n_cols::n_cols, -1] = seps[1]
         if start + BLOCK >= flat.size:
-            out[-1, _CELL_WORDS] = 0
+            out[-1, -1] = 0
         yield _text(out)
 
 
 def grid_chunks(q, p, w) -> Iterator[str]:
     """Pieces of the lines ``f"{q[i]!r},{p[j]!r},{w[i, j]!r}"`` over i, then j, joined by newlines.
 
-    Each axis value is formatted once, and the lines are assembled as bytes.
+    Each axis value is formatted once, and the lines are assembled as bytes
+    in one buffer that every block of rows reuses.
 
     Raises:
         RangeError: while iterating, if a value is NaN or infinite.
@@ -274,16 +328,24 @@ def grid_chunks(q, p, w) -> Iterator[str]:
                 for axis in (q, p))
     wq, wp = q_b.shape[1], p_b.shape[1]
     head = -(-(wq + wp + 2) // 4)
-    rows = max(1, BLOCK // n_p)
-    for i0 in range(0, n_q, rows):
-        block = w[i0:i0 + rows]
-        lines = np.zeros((len(block), n_p, head + _CELL_WORDS + 1), dtype="<u4")
-        text = lines.view(np.uint8)
-        text[:, :, :wq] = q_b[i0:i0 + rows, None, :]
-        text[:, :, wq] = text[:, :, wq + 1 + wp] = ord(",")
-        text[:, :, wq + 1:wq + 1 + wp] = p_b
-        _fill_cells(block.reshape(-1), lines.reshape(-1, lines.shape[2])[:, head:head + _CELL_WORDS])
-        lines[:, :, -1] = ord("\n")
-        if i0 + rows >= n_q:
-            lines[-1, -1, -1] = 0
-        yield _text(lines)
+    n_rows = max(1, min(BLOCK // n_p, n_q))
+    lines = np.empty((0, 0), dtype="<u4")
+
+    def rows(n):
+        # the 'p,' part, the commas and the newlines are written once per line width
+        nonlocal lines
+        if lines.shape[1] != head + n + 1:
+            lines = np.zeros((n_rows * n_p, head + n + 1), dtype="<u4")
+            text = lines.view(np.uint8).reshape(n_rows, n_p, -1)
+            text[:, :, wq] = text[:, :, wq + 1 + wp] = ord(",")
+            text[:, :, wq + 1:wq + 1 + wp] = p_b
+            lines[:, -1] = ord("\n")
+        return lines
+
+    for i0 in range(0, n_q, n_rows):
+        block = w[i0:i0 + n_rows]
+        out = _fill_planes(block.reshape(-1), head, rows)
+        out.view(np.uint8).reshape(len(block), n_p, -1)[:, :, :wq] = q_b[i0:i0 + n_rows, None, :]
+        if i0 + n_rows >= n_q:
+            out[-1, -1] = 0
+        yield _text(out)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,15 @@ def assert_reprs(values) -> None:
     if got != expected:
         bad = [(e, g) for e, g in zip(expected.split(" "), got.split(" ")) if e != g]
         pytest.fail(f"{len(bad)} values differ from repr, first (repr, written): {bad[:10]}")
+
+
+def assert_text(got: str, expected: str) -> None:
+    """got == expected, reported at the first difference rather than as a diff of the whole text."""
+    if got != expected:
+        at = next((i for i, pair in enumerate(zip(got, expected)) if pair[0] != pair[1]),
+                  min(len(got), len(expected)))
+        lo = max(at - 30, 0)
+        pytest.fail(f"texts differ first at {at}: written {got[lo:at + 30]!r}, expected {expected[lo:at + 30]!r}")
 
 
 def pad(values):
@@ -88,7 +98,7 @@ class TestShapesAndPaths:
 
     def test_small_tables_take_the_repr_path(self, monkeypatch):
         # below SMALL_TABLE values no array code runs at all
-        monkeypatch.setattr(emit, "_fill_cells", None)
+        monkeypatch.setattr(emit, "_fill_planes", None)
         a = np.linspace(-1.0, 1.0, emit.SMALL_TABLE - 1).reshape(-1, 1)
         assert table(a) == "\n".join(map(repr, a.ravel().tolist()))
 
@@ -113,11 +123,74 @@ class TestShapesAndPaths:
                              for qv, row in zip(q.tolist(), w.tolist()) for pv, wv in zip(p.tolist(), row))
         assert "".join(emit.grid_chunks(q, p, w)) == expected
 
+    def test_tables_match_an_exact_construction(self):
+        t = emit._tables()
+        g = []
+        for k in range(emit._K_MIN, emit._K_MAX + 1):
+            # the power of two that scales 10**-k into [2**125, 2**126)
+            v = Fraction(10) ** -k
+            r = v.numerator.bit_length() - v.denominator.bit_length() - 126
+            while v / Fraction(2) ** r >= 2 ** 126:
+                r += 1
+            assert v / Fraction(2) ** r >= 2 ** 125
+            g.append(int(v / Fraction(2) ** r) + 1)
+        assert t.g1.tolist() == [v >> 63 for v in g]
+        assert t.g0.tolist() == [v & (2 ** 63 - 1) for v in g]
+        assert t.pow10.tolist() == [10 ** j for j in range(19)]
+        # the modes in the order of emit._FULL, _LEAD, _LEAD1, _TRAIL, _TRAIL1
+        modes = (lambda n: f"{n:04d}", lambda n: (str(n) if n else "").rjust(4, "\0"),
+                 lambda n: str(n).rjust(4, "\0"), lambda n: f"{n:04d}".rstrip("0").ljust(4, "\0"),
+                 lambda n: (f"{n:04d}".rstrip("0") or "0").ljust(4, "\0"))
+        assert t.groups.tolist() == [int.from_bytes(mode(n).encode(), "little")
+                                     for mode in modes for n in range(10000)]
+        exp = b"".join(f"e{e:+03d}".encode().ljust(8, b"\0") for e in range(-324, 309)) + bytes(8)
+        assert t.exp.shape == (634, 2) and t.exp.tobytes() == exp
+
     def test_no_table_is_built_at_import(self):
         code = ("import switchosc.cli, switchosc.emit as e; "
                 "assert e._tables.cache_info().currsize == 0")
         src = str(Path(emit.__file__).parents[1])
         subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+class TestPlanesThatAreSkipped:
+    """A block writes the sign, the upper integer and the exponent words only when one of its values needs them."""
+
+    # each needs one optional plane that values in [1e-3, 1e4) do not
+    ONE_VALUE = [-1.5, -0.0, 1e4, 1e8, 1e12, 9999999999999998.0, 1.5e-5, 9.999999999999999e-05,
+                 1e16, 2.5e17]
+    # first and last of the first block, first, inside and last of the second
+    AT = (0, emit.BLOCK - 1, emit.BLOCK, emit.BLOCK + 100, 2 * emit.BLOCK - 3)
+
+    @staticmethod
+    def plain(size: int, seed: int = 3) -> np.ndarray:
+        values = np.random.default_rng(seed).uniform(1e-3, 1e4, size)
+        values[:4] = [9999.999999999998, 0.001, 1.0, 0.5]
+        return values
+
+    @pytest.mark.parametrize("seps", [(",", "\n"), (",", "],[")])
+    @pytest.mark.parametrize("value", ONE_VALUE)
+    def test_one_value_needs_a_plane(self, value, seps):
+        # 1170 rows of 7 span two blocks, and rows cross the block boundary
+        for at in self.AT:
+            a = self.plain(2 * emit.BLOCK - 2)
+            a[at] = value
+            a = a.reshape(-1, 7)
+            expected = seps[1].join(seps[0].join(map(repr, row)) for row in a.tolist())
+            assert_text(table(a, *seps), expected)
+
+    def test_grid_blocks_of_different_widths(self):
+        # 13 rows of 300 lines a block; the blocks need 7, 9, 9, 13 and 9 words a value,
+        # so the line buffer is rebuilt three times mid-grid, once for a narrower block
+        rng = np.random.default_rng(11)
+        q, p = np.linspace(-3.0, 4.0, 57), np.linspace(-2.5, 2.5, 300)
+        w = rng.random((57, 300))
+        w[20, 7] = 1e-20
+        w[40, 0], w[45, 299] = -0.0, 12345.5
+        w[56, 299] = 1e17
+        expected = "\n".join(f"{qv!r},{pv!r},{wv!r}"
+                             for qv, row in zip(q.tolist(), w.tolist()) for pv, wv in zip(p.tolist(), row))
+        assert_text("".join(emit.grid_chunks(q, p, w)), expected)
 
 
 def recorded(monkeypatch, name: str) -> list:

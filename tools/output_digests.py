@@ -65,12 +65,17 @@ EDGE_CASES = (
     ("profile", "--out="),
 )
 # outputs of many formatter blocks: tables of about 70000 and 60000 values, grids of
-# 50625 cells, and three-digit exponents of both signs
+# 50625 cells, three-digit exponents of both signs, and tables whose blocks differ in
+# the words their values need
 LARGE_CASES = (
     *((cmd, f"--format={fmt}", "--samples=10001") for cmd in ("epsilon", "moments") for fmt in FORMATS),
     *(("wigner", f"--format={fmt}", "--grid-n=225") for fmt in FORMATS),
     ("phase-diagram", "--z-re=1e200", "--samples=2001"),
     ("phase-diagram", "--omega=1e-200", "--z-re=1e200", "--samples=2001", "--format=json"),
+    # integer parts of 10**4 and more, and negatives, in some blocks only
+    ("profile", "--t0=-20000", "--t1=20000", "--samples=10001"),
+    # exponent notation in the middle blocks only
+    ("profile", "--t0=-0.001", "--t1=0.001", "--samples=10001", "--format=json"),
 )
 # (lines of run.cfg, argv): settings from the file, some overridden by a flag
 CONFIG_CASES = (
