@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
-import itertools
 import json
 import math
 import sys
@@ -22,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .classical import amplitude, modulus, wronskian_of
-from .emit import format_float, table_chunks
+from .emit import csv_pieces, format_float, format_value, json_pieces, table_chunks
 from .errors import DomainError, RangeError, SwitchOscError
 from .frequency import OscParams, omega_profile, require_resolved
 from .numerics import MAX_STEPS, _flat_step, derivative, find_root, integrate_ode, quadrature
@@ -75,16 +74,6 @@ class RunConfig:
             return vars(self)["header"][key]
         except KeyError:
             raise AttributeError(key) from None
-
-
-def _fmt_any(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return format_float(v)
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_fmt_any(x) for x in v) + "]"
-    return str(v)
 
 
 @functools.cache
@@ -211,14 +200,13 @@ def _require_oracle_budget(p: OscParams, t0: float, t1: float) -> None:
         )
 
 
-def _write_text(text: str | Iterable[str], out: str | None) -> None:
-    """Write one output, whole or as pieces in order, to stdout or to the file ``out``."""
-    chunks = (text,) if isinstance(text, str) else text
+def _write_text(pieces: Iterable[str], out: str | None) -> None:
+    """Write one output, as pieces in order, to stdout or to the file ``out``."""
     if out is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(chunks)
+            fh.writelines(pieces)
 
 
 def _require_finite(names: Sequence[str], columns) -> None:
@@ -233,21 +221,12 @@ def _emit_table(cfg: RunConfig, columns: Sequence[str], rows: np.ndarray,
                 extra: Sequence[tuple[str, object]] = ()) -> int:
     """Write the 2-D float array ``rows`` under ``columns`` as CSV or JSON."""
     _require_finite(columns, rows.T)
-    if cfg.format == "csv":
-        lines = [f"# {k} = {_fmt_any(v)}" for k, v in (*cfg.header.items(), *extra)]
-        lines.append(",".join(columns))
-        head = "\n".join(lines) + "\n"
-        row_sep, tail = "\n", "\n" if len(rows) else ""
-    else:
-        doc: dict = {"config": cfg.header}
-        for k, v in extra:
-            doc[k] = v
-        doc["columns"] = list(columns)
-        # "rows" is the last key, written as json.dumps writes it
-        head = json.dumps(doc, separators=(",", ":"))[:-1] + ',"rows":' + ("[[" if len(rows) else "[")
-        row_sep, tail = "],[", ("]]" if len(rows) else "]") + "}\n"
     # the rows go out a block at a time, never held as one string
-    _write_text(itertools.chain((head,), table_chunks(rows, ",", row_sep), (tail,)), cfg.out)
+    if cfg.format == "csv":
+        pieces = csv_pieces((*cfg.header.items(), *extra), ",".join(columns), table_chunks(rows, ",", "\n"))
+    else:
+        pieces = json_pieces({"config": cfg.header, **dict(extra), "columns": list(columns)}, [("rows", rows)])
+    _write_text(pieces, cfg.out)
     return 0
 
 
@@ -302,13 +281,11 @@ def _cmd_wigner(cfg: RunConfig) -> int:
                        resolution=(cfg.grid_n, cfg.grid_n))
     _require_finite(("q", "p", "w"), (grid.q_axis, grid.p_axis, grid.values))
     norm = grid_integral(grid)
-    extra = [(k, _fmt_any(v)) for k, v in cfg.header.items() if k not in _GRID_META_KEYS]
+    extra = [(k, format_value(v)) for k, v in cfg.header.items() if k not in _GRID_META_KEYS]
     extra.append(("normalization", format_float(norm)))
     # the grid goes out a block at a time, never held as one string
-    if cfg.format == "csv":
-        pieces = grid_csv_pieces(grid, comments=tuple(extra))
-    else:
-        pieces = grid_json_pieces(grid, extra_meta=dict(extra))
+    pieces = (grid_csv_pieces(grid, comments=tuple(extra)) if cfg.format == "csv"
+              else grid_json_pieces(grid, extra_meta=dict(extra)))
     _write_text(pieces, cfg.out)
     if cfg.out is not None:
         print(f"normalization = {format_float(norm)}")
@@ -531,14 +508,14 @@ def build_validation_report(cfg: RunConfig) -> dict:
 
 def _render_report_text(report: dict) -> str:
     lines = ["validation report", "================="]
-    lines.append("config: " + " ".join(f"{k}={_fmt_any(v)}" for k, v in report["config"].items()))
+    lines.append("config: " + " ".join(f"{k}={format_value(v)}" for k, v in report["config"].items()))
     for check in report["checks"]:
         lines.append("")
         lines.append(f"[{check['name']}]")
-        lines.append(f"  reference value: {_fmt_any(check['reference_value'])}")
-        lines.append(f"  computed value : {_fmt_any(check['computed_value'])}")
+        lines.append(f"  reference value: {format_value(check['reference_value'])}")
+        lines.append(f"  computed value : {format_value(check['computed_value'])}")
         for k, v in check["evidence"].items():
-            lines.append(f"  {k} = {_fmt_any(v)}")
+            lines.append(f"  {k} = {format_value(v)}")
         lines.append(f"  verdict: {check['verdict']}")
     return "\n".join(lines) + "\n"
 
@@ -560,7 +537,7 @@ def _cmd_validate(cfg: RunConfig) -> int:
         text = json.dumps(report, separators=(",", ":")) + "\n"
     else:
         text = _render_report_text(report)
-    _write_text(text, cfg.out)
+    _write_text((text,), cfg.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""The float format of every output, for one value and for whole arrays.
+"""The format of every output: its floats, one value or whole arrays at a time, and its layout.
 
 Every float the program writes is Python's ``repr`` of the double: the
 shortest decimal that reads back to the same double (the closest one when
@@ -6,7 +6,8 @@ several are as short), in fixed notation for 1e-4 <= |x| < 1e16 and as
 ``d.ddde+XX`` otherwise, with ``.0`` on integral values and ``-0.0`` kept.
 :func:`format_float` writes one value that way. :func:`table_chunks` and
 :func:`grid_chunks` write the same bytes for whole arrays, in pieces of a few
-thousand values, without a Python call per value.
+thousand values, without a Python call per value, and :func:`csv_pieces` and
+:func:`json_pieces` lay them out as a CSV or a JSON document.
 
 The array path finds the digits with Giulietti's Schubfach algorithm ("The
 Schubfach way to render doubles", 2020), as Java's ``DoubleToDecimal`` runs
@@ -35,19 +36,14 @@ array call, not at import.
 from __future__ import annotations
 
 import functools
+import json
 from types import SimpleNamespace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import RangeError
 
-# below this many values a table is written by repr. The array path costs about
-# 0.4 ms more per call and about a third of repr's time per value, and breaks even
-# between 128 and 256 values; its first call in a process also builds the tables,
-# about 1.5 ms and 0.6 MiB, and then breaks even near 256. A lower threshold raises
-# the peak RSS of runs that write only small tables (0.7 MiB at 512)
-SMALL_TABLE = 2048
 # values formatted at a time, so temporaries stay a few MiB whatever the table size
 BLOCK = 4096
 # uint32 words of one formatted value at most: sign, 16 integer digits, point,
@@ -65,6 +61,17 @@ _FULL, _LEAD, _LEAD1, _TRAIL, _TRAIL1 = (m * 10000 for m in range(5))
 def format_float(x: float) -> str:
     """Shortest decimal that round-trips the double exactly: the float format of every output."""
     return repr(float(x))
+
+
+def format_value(v) -> str:
+    """A setting's value as outputs write it: true or false, a float, ``[a, b]``, or ``str(v)``."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return format_float(v)
+    if isinstance(v, (list, tuple)):
+        return "[" + ", ".join(format_value(x) for x in v) + "]"
+    return str(v)
 
 
 @functools.cache
@@ -281,17 +288,13 @@ def _text(words: np.ndarray) -> str:
 def table_chunks(a, sep: str, row_sep: str) -> Iterator[str]:
     """Pieces of ``row_sep.join(sep.join(map(repr, row)) for row in a)``, for the 2-D float array ``a``.
 
-    ``sep`` and ``row_sep`` are ASCII of at most 4 characters. A table of
-    fewer than ``SMALL_TABLE`` values comes in one piece, written by repr.
+    ``sep`` and ``row_sep`` are ASCII of at most 4 characters; ``a`` has at
+    least one column. A table without rows comes in no piece.
 
     Raises:
         RangeError: while iterating, if a value is NaN or infinite.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.size < SMALL_TABLE:
-        _check_finite(a)
-        yield row_sep.join(sep.join(map(repr, row)) for row in a.tolist())
-        return
     n_cols = a.shape[1]
     flat = a.reshape(-1)
     seps = [int.from_bytes(text.encode("ascii"), "little") for text in (sep, row_sep)]
@@ -320,10 +323,11 @@ def grid_chunks(q, p, w) -> Iterator[str]:
     Raises:
         RangeError: while iterating, if a value is NaN or infinite.
     """
+    _check_finite(q, p)
     w = np.asarray(w, dtype=np.float64)
     n_q, n_p = w.shape
     # each axis value as NUL-padded bytes; a line starts 'q,p,' and is padded to whole words
-    q_b, p_b = (np.array("".join(table_chunks(np.reshape(axis, (-1, 1)), "", "\n")).split("\n"),
+    q_b, p_b = (np.array([format_float(v) for v in np.asarray(axis, dtype=np.float64).tolist()],
                          dtype="S").view(np.uint8).reshape(len(axis), -1)
                 for axis in (q, p))
     wq, wp = q_b.shape[1], p_b.shape[1]
@@ -349,3 +353,32 @@ def grid_chunks(q, p, w) -> Iterator[str]:
         if i0 + n_rows >= n_q:
             out[-1, -1] = 0
         yield _text(out)
+
+
+def csv_pieces(comments, column_line: str, body: Iterable[str]) -> Iterator[str]:
+    """Pieces of a CSV document: a ``# key = value`` line per (key, value) comment, its value by
+    :func:`format_value`, the column line, then ``body``: pieces of newline-joined data lines,
+    followed by a newline unless it yields nothing."""
+    yield "".join(f"# {k} = {format_value(v)}\n" for k, v in comments) + column_line + "\n"
+    last = ""
+    for last in body:
+        yield last
+    if last:
+        yield "\n"
+
+
+def json_pieces(doc: dict, arrays: Iterable[tuple[str, np.ndarray]]) -> Iterator[str]:
+    """Pieces of ``json.dumps({**doc, key: a.tolist(), ...}, separators=(",", ":"))`` and a newline.
+
+    ``arrays`` holds (key, 1-D or 2-D float array) pairs; ``doc`` holds at least one key.
+
+    Raises:
+        RangeError: while iterating, if a value is NaN or infinite.
+    """
+    yield json.dumps(doc, separators=(",", ":"))[:-1]
+    for key, a in arrays:
+        nested = np.ndim(a) == 2 and len(a) > 0
+        yield f",{json.dumps(key)}:" + ("[[" if nested else "[")
+        yield from table_chunks(np.atleast_2d(a), ",", "],[")
+        yield "]]" if nested else "]"
+    yield "}\n"

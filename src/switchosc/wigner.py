@@ -9,7 +9,6 @@ validation report shows its integral is 2).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -17,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .classical import amplitude
-from .emit import format_float, grid_chunks, table_chunks
+from .emit import csv_pieces, format_float, grid_chunks, json_pieces
 from .errors import DomainError, NotNormalized
 from .frequency import OscParams
 from .quantum import CovarianceState, FirstMoments, first_moments_of, second_moments_of
@@ -185,11 +184,8 @@ def grid_csv_pieces(g: WignerGrid, comments: tuple[tuple[str, str], ...] = ()) -
     Raises:
         RangeError: while iterating, if a value is NaN or infinite.
     """
-    lines = [f"# {k} = {v}" for k, v in (*_meta_items(g), *comments)]
-    lines.append("q,p,w\n")
-    yield "\n".join(lines)
-    yield from grid_chunks(g.q_axis, g.p_axis, g.values)
-    yield "\n"
+    return csv_pieces((*_meta_items(g), *comments), "q,p,w",
+                      grid_chunks(g.q_axis, g.p_axis, g.values))
 
 
 def grid_json_pieces(g: WignerGrid, extra_meta: dict | None = None) -> Iterator[str]:
@@ -198,16 +194,9 @@ def grid_json_pieces(g: WignerGrid, extra_meta: dict | None = None) -> Iterator[
     Raises:
         RangeError: while iterating, if a value is NaN or infinite.
     """
-    meta: dict = {k: v for k, v in _meta_items(g)}
-    if extra_meta:
-        meta.update(extra_meta)
-    # laid out as json.dumps writes {"meta": ..., "q_axis": [...], "p_axis": [...], "values": [...]}
-    yield '{"meta":' + json.dumps(meta, separators=(",", ":"))
-    for key, a in (("q_axis", g.q_axis), ("p_axis", g.p_axis), ("values", g.values)):
-        yield f',"{key}":['
-        yield from table_chunks(np.reshape(a, (1, -1)), ",", "")
-        yield "]"
-    yield "}\n"
+    meta = {**dict(_meta_items(g)), **(extra_meta or {})}
+    return json_pieces({"meta": meta}, (("q_axis", g.q_axis), ("p_axis", g.p_axis),
+                                        ("values", g.values.reshape(-1))))
 
 
 def grid_to_csv(g: WignerGrid, comments: tuple[tuple[str, str], ...] = ()) -> str:

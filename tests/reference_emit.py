@@ -7,14 +7,30 @@ joined row by row, or ``json.dumps`` of the nested lists.
 
 import json
 
-from switchosc.cli import _fmt_any
-from switchosc.wigner import _meta_items
+
+def header_value(v) -> str:
+    """A header value as the CSV comments write it."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, list):
+        return "[" + ", ".join(map(header_value, v)) + "]"
+    return str(v)
+
+
+def grid_meta(g) -> list:
+    """The (key, text) pairs a grid writes first, before its comments or extra metadata."""
+    p = g.params
+    floats = (g.t, p.m, p.hbar, p.alpha, p.omega, g.z.real, g.z.imag)
+    return [*zip(("t", "m", "hbar", "alpha", "omega", "z_re", "z_im"), map(repr, floats)),
+            ("n_q", str(len(g.q_axis))), ("n_p", str(len(g.p_axis)))]
 
 
 def emit_table(cfg, columns, rows, extra=()) -> str:
     """The text ``cli._emit_table`` writes for ``rows`` under ``columns``."""
     if cfg.format == "csv":
-        lines = [f"# {k} = {_fmt_any(v)}" for k, v in (*cfg.header.items(), *extra)]
+        lines = [f"# {k} = {header_value(v)}" for k, v in (*cfg.header.items(), *extra)]
         lines.append(",".join(columns))
         lines.extend(",".join(map(repr, row)) for row in rows.tolist())
         return "\n".join(lines) + "\n"
@@ -27,7 +43,7 @@ def emit_table(cfg, columns, rows, extra=()) -> str:
 
 
 def grid_to_csv(g, comments=()) -> str:
-    lines = [f"# {k} = {v}" for k, v in (*_meta_items(g), *comments)]
+    lines = [f"# {k} = {v}" for k, v in (*grid_meta(g), *comments)]
     lines.append("q,p,w")
     p_strs = [repr(pv) for pv in g.p_axis.tolist()]
     for qv, row in zip(g.q_axis.tolist(), g.values):
@@ -37,7 +53,7 @@ def grid_to_csv(g, comments=()) -> str:
 
 
 def grid_to_json(g, extra_meta=None) -> str:
-    meta: dict = {k: v for k, v in _meta_items(g)}
+    meta: dict = {k: v for k, v in grid_meta(g)}
     if extra_meta:
         meta.update(extra_meta)
     doc = {

@@ -16,17 +16,13 @@ from switchosc import RangeError, cli, emit, wigner_grid
 from switchosc.frequency import OscParams
 from switchosc.wigner import grid_to_csv, grid_to_json
 
-BOTH_PATHS = pytest.mark.parametrize("small", [0, 10 ** 9], ids=["arrays", "repr"])
-
-
 def table(a, sep=",", row_sep="\n") -> str:
     return "".join(emit.table_chunks(a, sep, row_sep))
 
 
 def assert_reprs(values) -> None:
-    """The formatter writes each value as repr does, on the array path."""
+    """The formatter writes each value as repr does."""
     values = np.asarray(values, dtype=np.float64).ravel()
-    assert values.size >= emit.SMALL_TABLE
     got = table(values.reshape(1, -1), " ", "")
     expected = " ".join(map(repr, values.tolist()))
     if got != expected:
@@ -43,18 +39,12 @@ def assert_text(got: str, expected: str) -> None:
         pytest.fail(f"texts differ first at {at}: written {got[lo:at + 30]!r}, expected {expected[lo:at + 30]!r}")
 
 
-def pad(values):
-    # the array path starts at SMALL_TABLE values
-    values = np.asarray(values, dtype=np.float64).ravel()
-    return np.concatenate((values, np.full(max(0, emit.SMALL_TABLE - values.size), 0.5)))
-
-
 class TestDeterministicSweep:
     def test_zeros_extremes_and_layout_boundaries(self):
-        assert_reprs(pad([0.0, -0.0, 5e-324, -5e-324, 1e-323, 1.7976931348623157e308,
-                          -1.7976931348623157e308, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
-                          1e-4, 1e-5, 0.00011, 9.999999999999999e-05, 123.0, -123.0, 1.0, 0.1,
-                          1e22, 1e23, 5e-310, 12345678901234567.0, 0.3, 2.0 / 3.0]))
+        assert_reprs([0.0, -0.0, 5e-324, -5e-324, 1e-323, 1.7976931348623157e308,
+                      -1.7976931348623157e308, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
+                      1e-4, 1e-5, 0.00011, 9.999999999999999e-05, 123.0, -123.0, 1.0, 0.1,
+                      1e22, 1e23, 5e-310, 12345678901234567.0, 0.3, 2.0 / 3.0])
 
     def test_powers_of_two_and_their_neighbours(self):
         p2 = np.ldexp(1.0, np.arange(-1074, 1024))
@@ -75,37 +65,21 @@ class TestDeterministicSweep:
 
 @settings(max_examples=60, deadline=None)
 @given(a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
-                    elements=st.floats(allow_nan=False, allow_infinity=False)),
-       small=st.sampled_from([0, 10 ** 9]))
-def test_any_finite_table_is_written_as_repr_joins_it(a, small):
-    expected = "\n".join(",".join(map(repr, row)) for row in a.tolist())
-    saved = emit.SMALL_TABLE
-    emit.SMALL_TABLE = small
-    try:
-        assert table(a) == expected
-    finally:
-        emit.SMALL_TABLE = saved
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_any_finite_table_is_written_as_repr_joins_it(a):
+    assert table(a) == "\n".join(",".join(map(repr, row)) for row in a.tolist())
 
 
-class TestShapesAndPaths:
-    @BOTH_PATHS
-    @pytest.mark.parametrize("shape", [(0, 6), (1, 1), (1, 7), (9, 1), (3, 5), (1, 4097), (2050, 3)])
+class TestShapes:
+    @pytest.mark.parametrize("shape", [(0, 6), (1, 1), (1, 7), (9, 1), (3, 5), (2047, 1), (1, 4097),
+                                       (2050, 3)])
     @pytest.mark.parametrize("seps", [(",", "\n"), (",", "],["), ("", "")])
-    def test_shape_and_separators(self, monkeypatch, small, shape, seps):
-        monkeypatch.setattr(emit, "SMALL_TABLE", small)
+    def test_shape_and_separators(self, shape, seps):
         a = np.random.default_rng(sum(shape)).standard_normal(shape) * 10.0 ** (np.arange(shape[1]) % 40 - 20)
         assert table(a, *seps) == seps[1].join(seps[0].join(map(repr, row)) for row in a.tolist())
 
-    def test_small_tables_take_the_repr_path(self, monkeypatch):
-        # below SMALL_TABLE values no array code runs at all
-        monkeypatch.setattr(emit, "_fill_planes", None)
-        a = np.linspace(-1.0, 1.0, emit.SMALL_TABLE - 1).reshape(-1, 1)
-        assert table(a) == "\n".join(map(repr, a.ravel().tolist()))
-
-    @BOTH_PATHS
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_values_are_refused(self, monkeypatch, small, bad):
-        monkeypatch.setattr(emit, "SMALL_TABLE", small)
+    def test_non_finite_values_are_refused(self, bad):
         a = np.ones((3, 4))
         a[1, 2] = bad
         with pytest.raises(RangeError):
@@ -238,7 +212,6 @@ class TestOutputsMatchTheReferenceRenderers:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_coherence_on_the_array_path(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr(emit, "SMALL_TABLE", 0)
         rows = self.check(capsys, monkeypatch, "coherence", "--t0=2", "--t1=300", f"--format={fmt}")
         assert len(rows) > 100
 

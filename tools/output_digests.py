@@ -15,8 +15,8 @@ outputs a change moves:
 The set covers every subcommand at alpha*omega = 0, 0.5 and 0.97 (omega = 1),
 in both formats, at four windows or instants each, plus a few invocations
 that fail or sit at the edge of double precision or time resolution, a few
-large outputs that span many blocks of the array float formatter, and a few
-that read settings from a config file.
+small outputs, a few large ones that span many blocks of the array float
+formatter, and a few that read settings from a config file.
 """
 
 from __future__ import annotations
@@ -63,6 +63,11 @@ EDGE_CASES = (
     ("profile", "--format=xml"),
     ("profile", "--alpha="),
     ("profile", "--out="),
+    # small outputs in both formats: a table of 6 values, a scan of a few
+    # events, and a grid whose axes hold 16 values each
+    *(("profile", "--samples=2", f"--format={fmt}") for fmt in FORMATS),
+    *(("coherence", "--t0=2", "--t1=8", f"--format={fmt}") for fmt in FORMATS),
+    *(("wigner", "--grid-n=16", f"--format={fmt}") for fmt in FORMATS),
 )
 # outputs of many formatter blocks: tables of about 70000 and 60000 values, grids of
 # 50625 cells, three-digit exponents of both signs, and tables whose blocks differ in
