@@ -1,5 +1,6 @@
 """The array float formatter: byte for byte Python's repr, and the outputs built on it."""
 
+import json
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import reference_emit
 from switchosc import RangeError, cli, emit, wigner_grid
 from switchosc.frequency import OscParams
 from switchosc.wigner import grid_to_csv, grid_to_json
+
 
 def table(a, sep=",", row_sep="\n") -> str:
     return "".join(emit.table_chunks(a, sep, row_sep))
@@ -71,8 +73,9 @@ def test_any_finite_table_is_written_as_repr_joins_it(a):
 
 
 class TestShapes:
-    @pytest.mark.parametrize("shape", [(0, 6), (1, 1), (1, 7), (9, 1), (3, 5), (2047, 1), (1, 4097),
-                                       (2050, 3)])
+    # (1365, 3), (4096, 1) and (2, 4096) end one value before, at and one row after a block's end
+    @pytest.mark.parametrize("shape", [(0, 6), (1, 1), (1, 7), (9, 1), (3, 5), (2047, 1), (1365, 3),
+                                       (4096, 1), (2, 4096), (1, 4097), (2050, 3)])
     @pytest.mark.parametrize("seps", [(",", "\n"), (",", "],["), ("", "")])
     def test_shape_and_separators(self, shape, seps):
         a = np.random.default_rng(sum(shape)).standard_normal(shape) * 10.0 ** (np.arange(shape[1]) % 40 - 20)
@@ -88,6 +91,18 @@ class TestShapes:
             "".join(emit.grid_chunks(np.arange(3.0), np.arange(4.0), a))
         with pytest.raises(RangeError):
             "".join(emit.grid_chunks(np.array([0.0, bad, 1.0]), np.arange(4.0), np.ones((3, 4))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, emit.BLOCK - 1, emit.BLOCK, 2 * emit.BLOCK + 9])
+    def test_a_non_finite_value_in_any_block_is_refused(self, at, bad):
+        # 4105 rows of 2: three blocks of a table, three of a grid (2048 rows of 2 a block)
+        a = np.ones(2 * emit.BLOCK + 10)
+        a[at] = bad
+        a = a.reshape(-1, 2)
+        with pytest.raises(RangeError):
+            table(a)
+        with pytest.raises(RangeError):
+            "".join(emit.grid_chunks(np.arange(float(len(a))), np.arange(2.0), a))
 
     def test_grid_lines(self):
         rng = np.random.default_rng(7)
@@ -165,6 +180,30 @@ class TestPlanesThatAreSkipped:
         expected = "\n".join(f"{qv!r},{pv!r},{wv!r}"
                              for qv, row in zip(q.tolist(), w.tolist()) for pv, wv in zip(p.tolist(), row))
         assert_text("".join(emit.grid_chunks(q, p, w)), expected)
+
+
+class TestDocumentLayout:
+    """format_value, csv_pieces and json_pieces against the reference renderers and json.dumps."""
+
+    @pytest.mark.parametrize("v", [True, False, 0.5, -0.0, 1e-05, 1e16, 3, "rk45", [0.5, 2.0], []])
+    def test_format_value(self, v):
+        assert emit.format_value(v) == reference_emit.header_value(v)
+
+    @pytest.mark.parametrize("comments, body, expected", [
+        ((), [], "a,b\n"),
+        ((("alpha", 0.5), ("adaptive", True)), [], "# alpha = 0.5\n# adaptive = true\na,b\n"),
+        ((("t", [1.0, 2.0]),), ["1.0,2.0", "\n3.0,4.0"], "# t = [1.0, 2.0]\na,b\n1.0,2.0\n3.0,4.0\n"),
+    ])
+    def test_csv_pieces(self, comments, body, expected):
+        assert "".join(emit.csv_pieces(comments, "a,b", iter(body))) == expected
+
+    @pytest.mark.parametrize("shapes", [[(5,)], [(3, 2)], [(0, 6)], [(4,), (2, 7)]])
+    def test_json_pieces(self, shapes):
+        rng = np.random.default_rng(len(shapes))
+        arrays = [(f"a{j}", rng.standard_normal(shape)) for j, shape in enumerate(shapes)]
+        doc = {"config": {"alpha": 0.5, "method": "rk45"}, "columns": ["x", "y"]}
+        expected = json.dumps({**doc, **{k: a.tolist() for k, a in arrays}}, separators=(",", ":")) + "\n"
+        assert "".join(emit.json_pieces(doc, arrays)) == expected
 
 
 def recorded(monkeypatch, name: str) -> list:
