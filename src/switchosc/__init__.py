@@ -25,7 +25,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .frequency import OscParams, omega_of, omega_profile
-from .numerics import Trajectory, derivative, find_root, integrate_ode, quadrature
+from .numerics import Trajectory, derivative, find_root, flat_flow, integrate_ode, quadrature
 from .quantum import (
     CoherenceEvent,
     CoherenceScanResult,
@@ -66,6 +66,7 @@ __all__ = [
     "epsilon",
     "find_root",
     "first_moments",
+    "flat_flow",
     "grid_integral",
     "grid_moments",
     "grid_to_csv",

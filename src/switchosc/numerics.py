@@ -1,9 +1,10 @@
 """Independent numerical machinery used to cross-check every closed form.
 
 Nothing here knows the analytic solution: the integrator sees only the
-frequency profile, the quadrature sees only an integrand, the root finder
-only a bracket.  That independence is the point — these routines arbitrate
-whenever a closed form is in doubt.
+frequency profile, the flat flow only a frequency and a state, the
+quadrature only an integrand, the root finder only a bracket.  That
+independence is the point — these routines arbitrate whenever a closed form
+is in doubt.
 
 Every callable handed to this module, be it an integrand or the function of a
 root search or a finite difference, maps a float array to an array of values.
@@ -432,6 +433,35 @@ def integrate_ode(
     return Trajectory(times=raw[:, 0].copy(), states=states, stats=stats)
 
 
+def flat_flow(w: float, t_ref: float, state: tuple[complex, complex],
+              ts) -> tuple[np.ndarray, np.ndarray]:
+    """Carry (eps, eps_dot) from ``t_ref`` to each of the instants ``ts`` under one flat frequency.
+
+    Where Omega is the constant ``w``, eps'' + w^2 * eps = 0 is the free
+    oscillator, and its exact flow over dt = t - t_ref is a rotation.  For
+    each pair, (x, u) = (Re eps, Re eps_dot) and (y, v) likewise,
+        x(t) = x*cos(w*dt) + (u/w)*sin(w*dt),  u(t) = -w*x*sin(w*dt) + u*cos(w*dt);
+    complex arithmetic with real cos and sin applies it to both pairs at
+    once.  It knows only ``w``, ``t_ref`` and the state, never a closed form
+    of the amplitude.  Returns eps and eps_dot at ``ts`` as complex arrays.
+
+    Raises:
+        DomainError: unless ``w`` is positive and finite and ``t_ref``, the
+            state and every instant are finite.
+    """
+    if not (0.0 < w < math.inf):
+        raise DomainError(f"w must be positive and finite, got {w!r}")
+    eps, eps_dot = complex(state[0]), complex(state[1])
+    if not (math.isfinite(t_ref) and cmath.isfinite(eps) and cmath.isfinite(eps_dot)):
+        raise DomainError(f"t_ref and the state must be finite, got {t_ref!r}, ({eps!r}, {eps_dot!r})")
+    ts = np.asarray(ts, dtype=float)
+    if not np.isfinite(ts).all():
+        raise DomainError("instants must be finite")
+    wdt = w * (ts - t_ref)
+    c, s = np.cos(wdt), np.sin(wdt)
+    return eps * c + (eps_dot / w) * s, eps_dot * c - (w * eps) * s
+
+
 def quadrature(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                tol: float = 1e-10) -> float:
     """Romberg integral of ``f`` over [a, b] to absolute accuracy ``tol``.
@@ -474,14 +504,15 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-12,
     """Locate a zero of ``f`` inside each sign-changing bracket [lo[k], hi[k]].
 
     ``f`` maps a float array to an array of its values.  Every lane runs the
-    same iteration: secant steps alternate with bisection, so the bracket at
-    least halves every other iteration regardless of how the secant behaves.
-    Each secant point is moved at least ``tol`` inside the bracket (the tol
-    step of Dekker and Brent), so a secant step that has reached the root is
-    followed by one that lands ``tol`` beyond it and closes the bracket.  The
-    lane ends once its bracket is within 2*``tol`` or, when ``tol`` is finer
-    than the spacing of doubles near the root, once its ends are adjacent
-    doubles.  Each iteration calls ``f`` once, on the lanes still searching.
+    same iteration: a secant step, then another secant step if that one at
+    least halved the bracket and a bisection if it did not (Dekker's rule),
+    so the bracket at least halves every other iteration regardless of how
+    the secant behaves.  Each secant point is moved at least ``tol`` inside
+    the bracket (the tol step of Dekker and Brent), so a secant step that has
+    reached the root is followed by one that lands ``tol`` beyond it and
+    closes the bracket.  The lane ends once its bracket is within 2*``tol``
+    or, when ``tol`` is finer than the spacing of doubles near the root, once
+    its ends are adjacent doubles.  Each iteration calls ``f`` once, on the lanes still searching.
     Returns the roots, in the order of the brackets.
 
     Raises:
@@ -512,7 +543,7 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-12,
         k = int(np.flatnonzero(same)[0])
         ak, bk, fak, fbk = float(a[k]), float(b[k]), float(fa[k]), float(fb[k])
         raise NoSignChange(f"f({ak!r})={fak!r} and f({bk!r})={fbk!r} have the same sign")
-    use_secant = True
+    secant = np.ones(live.size, dtype=bool)
     for _ in range(max_iter):
         m = 0.5 * (a + b)
         # no double strictly between a and b: the bracket cannot shrink further
@@ -520,25 +551,26 @@ def find_root(f: Callable[[np.ndarray], np.ndarray], lo, hi, tol: float = 1e-12,
         if done.any():
             roots[live[done]] = m[done]
             go = ~done
-            live, a, b, fa, fb, m = live[go], a[go], b[go], fa[go], fb[go], m[go]
+            live, a, b, fa, fb, m, secant = live[go], a[go], b[go], fa[go], fb[go], m[go], secant[go]
         if live.size == 0:
             break
-        if use_secant:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x = np.clip(b - fb * (b - a) / (fb - fa), a + tol, b - tol)
-            x = np.where((fb != fa) & (a < x) & (x < b), x, m)
-        else:
-            x = m
-        use_secant = not use_secant
+        width = b - a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.clip(b - fb * width / (fb - fa), a + tol, b - tol)
+        x = np.where(secant & (fb != fa) & (a < x) & (x < b), x, m)
         fx = f(x)
         zero = fx == 0.0
         if zero.any():
             roots[live[zero]] = x[zero]
             go = ~zero
             live, a, b, fa, fb, x, fx = live[go], a[go], b[go], fa[go], fb[go], x[go], fx[go]
+            secant, width = secant[go], width[go]
         lower = (fx > 0.0) == (fa > 0.0)
         a, fa = np.where(lower, x, a), np.where(lower, fx, fa)
         b, fb = np.where(lower, b, x), np.where(lower, fb, fx)
+        # a bisection is followed by a secant step, and so is a secant step
+        # that at least halved the bracket
+        secant = ~secant | (b - a <= 0.5 * width)
     if live.size:
         raise ToleranceNotMet(f"root not located to {tol!r} within {max_iter} iterations")
     return roots

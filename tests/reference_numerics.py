@@ -15,8 +15,9 @@ def scalar_find_root(f: Callable[[float], float], bracket: tuple[float, float],
                      tol: float = 1e-12, max_iter: int = 200) -> float:
     """Locate a zero of ``f`` inside a sign-changing bracket to within ``tol``.
 
-    Secant steps alternate with bisection, so the bracket at least halves
-    every other iteration regardless of how the secant behaves.  A secant
+    A secant step is followed by another if it at least halved the bracket
+    and by bisection if it did not (Dekker's rule), so the bracket at least
+    halves every other iteration regardless of how the secant behaves.  A secant
     point lies at least ``tol`` inside the bracket, so a converged secant
     step is followed by one that closes the bracket around the root.  When
     ``tol`` is finer than the spacing of doubles near the root, the search
@@ -38,14 +39,14 @@ def scalar_find_root(f: Callable[[float], float], bracket: tuple[float, float],
         # no double strictly between a and b: the bracket cannot shrink further
         if b - a <= 2.0 * tol or not a < m < b:
             return m
+        width = b - a
         if use_secant and fb != fa:
             # a secant point at least tol inside the bracket
-            x = min(max(b - fb * (b - a) / (fb - fa), a + tol), b - tol)
+            x = min(max(b - fb * width / (fb - fa), a + tol), b - tol)
             if not a < x < b:
                 x = m
         else:
             x = m
-        use_secant = not use_secant
         fx = f(x)
         if fx == 0.0:
             return x
@@ -53,6 +54,7 @@ def scalar_find_root(f: Callable[[float], float], bracket: tuple[float, float],
             a, fa = x, fx
         else:
             b, fb = x, fx
+        use_secant = not use_secant or b - a <= 0.5 * width
     raise ToleranceNotMet(f"root not located to {tol!r} within {max_iter} iterations")
 
 

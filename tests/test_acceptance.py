@@ -72,7 +72,7 @@ def test_criterion_01_oracle_equivalence(tmp_path):
         and err_alt > 1e-1
         and elapsed < 5.0
         and code == 0
-        and phase["evidence"]["ode_max_error_computed"] < 1e-8
+        and phase["evidence"]["ode_max_error_computed"] < 1e-11
         and phase["evidence"]["ode_max_error_reference"] > 1e-1
     )
     _report(1, "oracle equivalence", ok)
@@ -80,7 +80,7 @@ def test_criterion_01_oracle_equivalence(tmp_path):
     assert err_alt > 1e-1, f"alternate phase constant should visibly fail, got {err_alt}"
     assert elapsed < 5.0, f"oracle run took {elapsed:.2f}s"
     assert code == 0
-    assert phase["evidence"]["ode_max_error_computed"] < 1e-8
+    assert phase["evidence"]["ode_max_error_computed"] < 1e-11
     assert phase["evidence"]["ode_max_error_reference"] > 1e-1
 
 

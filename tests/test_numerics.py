@@ -27,6 +27,7 @@ from switchosc import (
     derivative,
     epsilon,
     find_root,
+    flat_flow,
     integrate_ode,
     omega_of,
     quadrature,
@@ -544,6 +545,45 @@ class TestFlatStep:
         slack = math.sqrt(len(times)) * EPS * np.max(np.abs(states))
         for flat, loop in zip(error_and_drift(kernel), error_and_drift(states)):
             assert flat <= loop + slack
+
+
+class TestFlatFlow:
+    @pytest.mark.parametrize("tol", [1e-11, 1e-9])
+    @pytest.mark.parametrize("omega", [0.3, 1.0, 3.0])
+    def test_agrees_with_the_integrator_over_many_periods(self, omega, tol):
+        # at alpha = 0 Omega is omega everywhere: 40 periods, across both
+        # junctions, each component within a few tol of its size
+        p = OscParams(alpha=0.0, omega=omega)
+        init = (1.0 + 0.5j, -0.2 + 1.0j)
+        t0, t1 = -20.0 * math.pi / omega, 20.0 * math.pi / omega
+        traj = integrate_ode(p, t0, t1, init, tol)
+        eps, eps_dot = flat_flow(omega, t0, init, traj.times)
+        for flow, stepped in ((eps, traj.eps), (eps_dot, traj.eps_dot)):
+            assert np.max(np.abs(flow - stepped)) <= 10.0 * tol * (1.0 + np.max(np.abs(stepped)))
+
+    def test_carries_back_and_forth_and_keeps_the_wronskian(self):
+        w, state = 0.7, (0.3 - 1.1j, 0.9 + 0.4j)
+        ts = np.array([-50.0, -1.0, 0.0, 2.5, 1e3])
+        eps, eps_dot = flat_flow(w, 2.5, state, ts)
+        assert (eps[3], eps_dot[3]) == state
+        back, back_dot = flat_flow(w, 1e3, (eps[-1], eps_dot[-1]), [2.5])
+        assert abs(back[0] - state[0]) < 1e-12 and abs(back_dot[0] - state[1]) < 1e-12
+        wr = wronskian_of(eps, eps_dot)
+        assert np.max(np.abs(wr - wronskian_of(*map(np.array, state)))) < 1e-13
+
+    @pytest.mark.parametrize("w, t_ref, state, ts", [
+        (0.0, 0.0, (1.0, 1j), [1.0]),
+        (-1.0, 0.0, (1.0, 1j), [1.0]),
+        (math.inf, 0.0, (1.0, 1j), [1.0]),
+        (math.nan, 0.0, (1.0, 1j), [1.0]),
+        (1.0, math.nan, (1.0, 1j), [1.0]),
+        (1.0, 0.0, (complex(math.inf, 0.0), 1j), [1.0]),
+        (1.0, 0.0, (1.0, complex(0.0, math.nan)), [1.0]),
+        (1.0, 0.0, (1.0, 1j), [1.0, math.inf]),
+    ])
+    def test_bad_inputs_raise(self, w, t_ref, state, ts):
+        with pytest.raises(DomainError):
+            flat_flow(w, t_ref, state, ts)
 
 
 class TestQuadrature:

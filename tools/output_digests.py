@@ -14,9 +14,10 @@ outputs a change moves:
 
 The set covers every subcommand at alpha*omega = 0, 0.5 and 0.97 (omega = 1),
 in both formats, at four windows or instants each, plus a few invocations
-that fail or sit at the edge of double precision or time resolution, a few
-small outputs, a few large ones that span many blocks of the array float
-formatter, and a few that read settings from a config file.
+that fail or sit at the edge of double precision or time resolution, two
+`validate` windows far past the switch, a few small outputs, a few large
+ones that span many blocks of the array float formatter, and a few that
+read settings from a config file.
 """
 
 from __future__ import annotations
@@ -50,12 +51,16 @@ EDGE_CASES = (
     ("epsilon", "--alpha=2"),
     ("validate", "--omega=1e-307", "--mass=1e-5", "--alpha=0", "--format=csv", "--grid-n=16"),
     ("validate", "--omega=1e-307", "--mass=1e-5", "--alpha=0", "--format=json", "--grid-n=16"),
-    # scans past t = 1024, where the doubles are coarser than a 1e-13 root tolerance
+    # scans past t = 1024, where the doubles lie more than 1e-13 apart; the
+    # benchmark's oracle cycle runs these two, and both succeed
     ("coherence", "--t0=1030", "--t1=1060"),
     ("coherence", "--alpha=0.3", "--t0=1000", "--t1=1100"),
-    # a validate window just wider than the switch window, so that both junctions
-    # cut the oracle's steps inside it and it holds only a few of them
+    # a validate window just wider than the switch window, so that it holds
+    # the oracle's steps and a few instants carried by the flat flow
     ("validate", "--alpha=0.97", "--t0=-0.05", "--t1=1.6", "--format=json"),
+    # validate windows far past the switch, which the oracle reaches by the flat flow
+    ("validate", "--t0=1e4", "--t1=10060"),
+    ("validate", "--alpha=0.5", "--t0=1e6", "--t1=1000060"),
     # a table window the doubles cannot resolve
     ("epsilon", "--t0=1e20", "--t1=1.0000000000001e20", "--samples=3"),
     # flag values that do not convert to their setting's type, or are empty
