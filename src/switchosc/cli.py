@@ -356,12 +356,15 @@ def build_validation_report(cfg: RunConfig) -> dict:
     variant = np.where(times > t_j, closed * rot, closed)
     err_computed = float(np.max(modulus(closed - eps_oracle)))
     err_reference = float(np.max(modulus(variant - eps_oracle)))
+    # the amplitude scales as 1/sqrt(omega): an error counts against 1e-6 of
+    # the larger of 1 and the oracle's largest |eps|
+    bar = 1e-6 * max(1.0, float(np.max(modulus(eps_oracle))))
     if cfg.t1 <= t_j:
         verdict = "window ends before the post-switch region; no evidence"
-    elif err_computed < 1e-6 <= err_reference:
+    elif err_computed < bar <= err_reference:
         verdict = ("adopted constant reproduces the independent integration; "
                    "the reference constant breaks continuity at the switch end")
-    elif err_computed < 1e-6 and err_reference < 1e-6:
+    elif err_computed < bar and err_reference < bar:
         verdict = "both constants agree with the independent integration"
     else:
         verdict = "inconclusive: the integration did not reproduce either variant"

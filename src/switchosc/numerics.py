@@ -29,10 +29,9 @@ from .frequency import OscParams
 # twelve stages sit at t + c_i*h; the last row of _A holds the eighth-order
 # weights, which give the propagated solution without a further evaluation.
 # _E5 and _E3 are the weights of the fifth- and third-order error estimates
-# that Hairer's norm combines.  _pair_step, which takes every step that
-# touches the switch window, unpacks its coefficients from these tuples and
-# leaves out the terms whose weight is zero; a step where Omega is flat takes
-# _flat_step, built from the polynomials below.
+# that Hairer's norm combines.  _pair_step, which takes every step, unpacks
+# its coefficients from these tuples and leaves out the terms whose weight is
+# zero.
 _C = (
     0.0, 0.526001519587677318785587544488e-1, 0.789002279381515978178381316732e-1,
     0.118350341907227396726757197510, 0.281649658092772603273242802490,
@@ -85,34 +84,6 @@ _E3 = tuple(b - b3 for b, b3 in zip(_A[-1], (
     0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
     0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1,
 )))
-
-# Where g is one constant, y' = Ay with A = [[0, 1], [g, 0]] is linear, and a
-# step is a polynomial in Z = hA (Hairer, Norsett & Wanner, sec. IV.2): the new
-# state is R(Z) y, and the fifth- and third-order error sums are A*Phi5(Z) y and
-# A*Phi3(Z) y.  With M the stage matrix _A[:12] and b = _A[-1], _R[k], the
-# coefficient of Z^k in R, is 1 for k = 0 and b.M^(k-1).1 after; _PHI5[k] is
-# _E5.M^k.1 and _PHI3[k] is _E3.M^k.1.  Each is the coefficient of the tableau
-# as stored, computed in exact rational arithmetic and rounded once.  _R_LOW
-# holds what that rounding left of _R[1] and _R[2]: without it, the terms of
-# order h and h^2 would carry one relative error at every step of a repeated
-# size, and over a long march it would add up.
-_R = (
-    1.0, 1.0, 0.5000000000000004, 0.1666666666666669, 0.04166666666666687, 0.008333333333333387,
-    0.0013888888888888978, 0.0001984126984126993, 2.4801587301587366e-05, 2.691692200169089e-06,
-    2.3413451082097797e-07, 1.4947364854591547e-08, 3.613324578128244e-10,
-)
-_R_LOW = (6.938893903907228e-17, 1.3510112417659726e-17)
-_PHI5 = (
-    -3.469446951953614e-18, -4.52905258582152e-16, 5.512336673789082e-16, 1.6248616563254925e-16,
-    2.3136861173733938e-17, -1.3495284686584028e-05, 1.9334654632476543e-08,
-    2.4255722835738154e-07, -3.986199671840262e-08, -2.4840232758051445e-08,
-    -5.179991027569356e-09, -1.806662289064122e-10,
-)
-_PHI3 = (
-    1.0061396160665481e-16, 7.010433289753048e-16, 2.899997284113178e-16, 0.004202279202279447,
-    0.001912849733362611, 0.000461866321484016, 9.203663915338102e-05, 1.4960035021054388e-05,
-    1.978399101375278e-06, 1.6968469610868993e-07, 8.82069232633511e-09, 1.8306229103919417e-10,
-)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -199,63 +170,13 @@ def _make_pair_step():
 _pair_step = _make_pair_step()
 
 
-def _make_flat_step():
-    """Build the step of both pairs under one constant g from _R, _R_LOW, _PHI5 and _PHI3."""
-    _, _, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12 = _R
-    r1_low, r2_low = _R_LOW
-    p0, p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11 = _PHI5
-    q0, q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11 = _PHI3
-
-    def flat_step(x, u, y, v, h, g):
-        """One step of x' = u, u' = g*x and of y' = v, v' = g*y, ``g`` one constant.
-
-        With Z = h*[[0, 1], [g, 0]] and zeta = h*h*g, Z^2 = zeta*I, so the step
-        R(Z) is E(zeta) + O(zeta)*Z, and likewise for Phi5 and Phi3: six Horner
-        sums in zeta serve both pairs.  The new x is x plus the increment
-            h*u + (r2*zeta*x + ((O - 1)*h*u + (E - 1 - r2*zeta)*x)),
-        and the new u likewise, with Z(x, u) = (h*u, h*g*x) and zeta*(x, u)
-        formed from the state: the terms of order h and h^2 round afresh at
-        every step, and only those of order h^3 and beyond carry the rounding
-        of the sums.  Returns what two calls of _pair_step return, pair (x, u)
-        first.
-        """
-        z = h * (h * g)
-        om = r1_low + z * (r3 + z * (r5 + z * (r7 + z * (r9 + z * r11))))
-        em = r2_low + z * (r4 + z * (r6 + z * (r8 + z * (r10 + z * r12))))
-        e5 = p0 + z * (p2 + z * (p4 + z * (p6 + z * (p8 + z * p10))))
-        o5 = p1 + z * (p3 + z * (p5 + z * (p7 + z * (p9 + z * p11))))
-        e3 = q0 + z * (q2 + z * (q4 + z * (q6 + z * (q8 + z * q10))))
-        o3 = q1 + z * (q3 + z * (q5 + z * (q7 + z * (q9 + z * q11))))
-        # Z(x, u) = (hu, hgx) and zeta*(x, u) = (zx, zu); the same for (y, v)
-        hu = h * u
-        hgx = h * (g * x)
-        zx = h * hgx
-        zu = h * (g * hu)
-        hv = h * v
-        hgy = h * (g * y)
-        zy = h * hgy
-        zv = h * (g * hv)
-        return (
-            x + (hu + (r2 * zx + (om * hu + em * zx))), u + (hgx + (r2 * zu + (om * hgx + em * zu))),
-            e5 * u + o5 * hgx, e3 * u + o3 * hgx, g * (e5 * x + o5 * hu), g * (e3 * x + o3 * hu),
-            y + (hv + (r2 * zy + (om * hv + em * zy))), v + (hgy + (r2 * zv + (om * hgy + em * zv))),
-            e5 * v + o5 * hgy, e3 * v + o3 * hgy, g * (e5 * y + o5 * hv), g * (e3 * y + o3 * hv),
-        )
-
-    return flat_step
-
-
-_flat_step = _make_flat_step()
-
-
 @dataclass(frozen=True)
 class IntegratorStats:
     """What one :func:`integrate_ode` call did.
 
-    ``rhs_calls`` is twelve per attempted step, the method's stage count,
-    also for a step outside the switch window, which reads Omega once and
-    evaluates no stage; ``junction_stops`` counts the accepted steps that
-    ended on a region junction, one for each junction inside the window.
+    ``rhs_calls`` is twelve per attempted step, the method's stage count;
+    ``junction_stops`` counts the accepted steps that ended on a region
+    junction, one for each junction inside the window.
     ``min_step`` and ``max_step`` range over the accepted steps, as the
     differences of the recorded times.
     """
@@ -313,12 +234,10 @@ def integrate_ode(
     one: that step is the larger of the controller's new proposal and the
     one made before the cut.  The inputs are validated once, here; each step
     then runs on the real and on the imaginary (eps, eps_dot) pair as
-    floats, reading Omega(t) from ``p.omega_at``.  A step that touches the
-    switch window reads it at each stage's instant and runs the twelve
-    stages.  A step that lies wholly before or wholly after the window,
-    where Omega is flat, reads it once and takes the same step through the
-    method's stability polynomials, which in exact arithmetic give what the
-    stages give.
+    floats, reading Omega(t) from ``p.omega_at`` at each of the twelve
+    stages' instants.  Over a stretch where Omega is flat,
+    :func:`flat_flow` carries the state exactly and at a fraction of the
+    cost.
 
     Args:
         init: (eps, eps_dot) at ``t0``.
@@ -344,7 +263,7 @@ def integrate_ode(
     if not (cmath.isfinite(eps0) and cmath.isfinite(eps_dot0)):
         raise DomainError(f"initial values must be finite, got ({eps0!r}, {eps_dot0!r})")
 
-    omega, t_end = p.omega_at, p.switch_end
+    omega = p.omega_at
     # state (x, y, u, v): eps = x + iy, eps_dot = u + iv
     x, y, u, v = eps0.real, eps0.imag, eps_dot0.real, eps_dot0.imag
 
@@ -371,20 +290,12 @@ def integrate_ode(
         stop = stop_list[si]
         gap = stop - t
         h_try, hit = (h, False) if h < gap else (gap, True)
-        # g_i = -Omega^2 at stage i's instant t + c_i*h.  A step wholly after
-        # the window (t > t_end), or wholly before it (t + h < 0, which bounds
-        # every t + c_i*h since c_i <= 1), sees one flat Omega: read it once
-        # and take the flat step.
-        if t > t_end or t + h_try < 0.0:
-            w = omega(t)
-            (x_new, u_new, ex5, ex3, eu5, eu3,
-             y_new, v_new, ey5, ey3, ev5, ev3) = _flat_step(x, u, y, v, h_try, -(w * w))
-        else:
-            ws = [omega(t)] + [omega(t + c * h_try) for c in stage_c]
-            g = [-(w * w) for w in ws]
-            # the real and the imaginary part share the stages' g
-            x_new, u_new, ex5, ex3, eu5, eu3 = _pair_step(x, u, h_try, g)
-            y_new, v_new, ey5, ey3, ev5, ev3 = _pair_step(y, v, h_try, g)
+        # g_i = -Omega^2 at stage i's instant t + c_i*h
+        ws = [omega(t)] + [omega(t + c * h_try) for c in stage_c]
+        g = [-(w * w) for w in ws]
+        # the real and the imaginary part share the stages' g
+        x_new, u_new, ex5, ex3, eu5, eu3 = _pair_step(x, u, h_try, g)
+        y_new, v_new, ey5, ey3, ev5, ev3 = _pair_step(y, v, h_try, g)
         # budget each step a decade below the requested tolerance so the
         # accumulated drift of conserved quantities stays within a few tol.
         # Each component's error sums are measured against budget * (1 +

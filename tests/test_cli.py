@@ -591,6 +591,17 @@ class TestValidate:
         assert 10 <= evidence["ode_accepted_steps"] <= 15
         assert all("inconclusive" not in c["verdict"] for c in checks.values())
 
+    def test_phase_constant_verdict_scales_with_the_amplitude(self, capsys):
+        # at omega 1e-100 |eps| reaches about 1e50, so an error of about 1e37
+        # is a relative error near 1e-13, and the adopted constant is judged
+        code, out, _ = run(capsys, "validate", "--omega=1e-100", "--t0=-5", "--t1=2e100",
+                           "--format=json")
+        assert code == 0
+        phase = {c["name"]: c for c in json.loads(out)["checks"]}["post_switch_phase_constant"]
+        assert phase["evidence"]["ode_max_error_computed"] > 1e30
+        assert phase["evidence"]["ode_max_error_reference"] > 1e49
+        assert phase["verdict"].startswith("adopted constant reproduces")
+
     def test_scan_without_events_has_no_computed_value(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "coherence_scan",
                             lambda p, t_lo, t_hi: CoherenceScanResult(False, ()))

@@ -7,10 +7,8 @@ every integrator check.
 import cmath
 import math
 import os
-import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -41,14 +39,8 @@ from switchosc.numerics import (
     _E5,
     _MAX_FACTOR,
     _MIN_FACTOR,
-    _PHI3,
-    _PHI5,
-    _R,
-    _R_LOW,
     _SAFETY,
     IntegratorStats,
-    _flat_step,
-    _pair_step,
 )
 
 from reference_numerics import scalar_find_root, second_derivative
@@ -280,24 +272,13 @@ def _error_norm(h: float, e5: tuple, e3: tuple, y: tuple, y_new: tuple, budget: 
     return h * sum5 / math.sqrt(4.0 * (sum5 + 0.01 * sum3))
 
 
-def _kernel_flat_step(y: tuple, h: float, g: float) -> tuple:
-    # integrate_ode's flat step on the state (x, y, u, v): the new state, then
-    # the fifth- and then the third-order error sums, each in that order
-    x_new, u_new, ex5, ex3, eu5, eu3, y_new, v_new, ey5, ey3, ev5, ev3 = _flat_step(
-        y[0], y[2], y[1], y[3], h, g)
-    return (x_new, y_new, u_new, v_new), (ex5, ey5, eu5, ev5), (ex3, ey3, eu3, ev3)
-
-
-def _loop_reference(p, t0, t1, init, tol, *, fixed_step=None, flat_kernel=False):
+def _loop_reference(p, t0, t1, init, tol, *, fixed_step=None):
     """The DOP853 step as a loop over the tableau, reading Omega through omega_of.
 
     Every stage sum runs over the whole row, zero weights included.  Same
     stops, controller and stage order as integrate_ode; returns (times,
     states, stats).  ``fixed_step`` marches with that step and no controller,
-    for the order check of the tableau.  With ``flat_kernel``, a step wholly
-    before or wholly after the switch window is integrate_ode's own flat step
-    instead, under Omega read at the step's start, so that everything else
-    can be compared bit for bit.
+    for the order check of the tableau.
     """
 
     def rhs(t, y):
@@ -317,15 +298,11 @@ def _loop_reference(p, t0, t1, init, tol, *, fixed_step=None, flat_kernel=False)
             si += 1
         stop = stop_list[si]
         h_try, hit = (h, False) if h < stop - t else (stop - t, True)
-        if flat_kernel and (t > p.switch_end or t + h_try < 0.0):
-            w = omega_of(t, p)
-            y_new, e5, e3 = _kernel_flat_step(y, h_try, -(w * w))
-        else:
-            ks = [rhs(t, y)]
-            for c, a in zip(_C[1:], _A[1:-1]):
-                ks.append(rhs(t + c * h_try, _combine(y, h_try, a, ks)))
-            y_new = _combine(y, h_try, _A[-1], ks)
-            e5, e3 = _weighted(_E5, ks), _weighted(_E3, ks)
+        ks = [rhs(t, y)]
+        for c, a in zip(_C[1:], _A[1:-1]):
+            ks.append(rhs(t + c * h_try, _combine(y, h_try, a, ks)))
+        y_new = _combine(y, h_try, _A[-1], ks)
+        e5, e3 = _weighted(_E5, ks), _weighted(_E3, ks)
         rhs_calls += 12
         err_norm = 0.0 if fixed_step is not None else _error_norm(h_try, e5, e3, y, y_new, 0.1 * tol)
         if err_norm <= 1.0:
@@ -351,44 +328,22 @@ def _loop_reference(p, t0, t1, init, tol, *, fixed_step=None, flat_kernel=False)
     return np.array(times), out, stats
 
 
-def _counts(stats: IntegratorStats) -> tuple:
-    return stats.accepted, stats.rejected, stats.junction_stops, stats.rhs_calls
-
-
 def _assert_matches_loop_reference(p, t0, t1, init, tol):
-    """integrate_ode against the loop reference, with and without its flat step.
-
-    With the kernel's flat step in the loop, everything matches bit for bit:
-    every step that touches the switch window, every stop and every decision
-    of the controller.  With the tableau's stages on flat steps too, the two
-    round those steps differently, which moves the step sizes in their last
-    bits and the error estimates by the loop's rounding: the counts of steps,
-    stops and stage evaluations stay equal, and where both record one time
-    (t0 and t1 at least) the states lie within the tolerance per step, plus
-    the rounding of the time, of one another.
-    """
+    """integrate_ode against the loop reference: times, states and stats bit for bit."""
     traj = integrate_ode(p, t0, t1, init, tol)
-    times, states, stats = _loop_reference(p, t0, t1, init, tol, flat_kernel=True)
+    times, states, stats = _loop_reference(p, t0, t1, init, tol)
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.tobytes() == states.tobytes()
     assert traj.stats == stats
-    times, states, stats = _loop_reference(p, t0, t1, init, tol)
-    assert _counts(traj.stats) == _counts(stats)
-    assert len(traj.times) == len(times)
-    shared = traj.times == times
-    assert shared[0] and shared[-1]
-    steps = stats.accepted + stats.rejected
-    bound = steps * (tol + EPS * max(abs(t0), abs(t1))) * (1.0 + np.max(np.abs(states)))
-    assert np.max(np.abs(traj.states[shared] - states[shared])) <= bound
     return traj.stats
 
 
 class TestKernelMatchesLoopReference:
-    """The unrolled steps reproduce the loop over the tableau.
+    """The unrolled steps reproduce the loop over the tableau, bit for bit.
 
-    Bit for bit, once the kernel's own flat step (see TestFlatStep) stands in
-    for the loop on flat steps; with the loop's stages there too, to the same
-    counts and to nearby states.
+    Every step, before, inside or after the switch window, runs the twelve
+    stages, so every stop, every decision of the controller and every
+    recorded state match exactly.
     """
 
     START = (0.3 - 1.1j, 0.8 + 0.4j)
@@ -406,8 +361,8 @@ class TestKernelMatchesLoopReference:
         stats = _assert_matches_loop_reference(OscParams(alpha=0.999), -3.0, 4.0, self.START, 1e-12)
         assert stats.rejected > 0
 
-    # The cases below pin where the kernel takes the flat step (wholly before
-    # or after the window) and where it reads Omega at every stage.
+    # The cases below pin the stops: steps that end on a junction, start on
+    # one, or cross one into or out of the window.
 
     @pytest.mark.parametrize("tol", [1e-11, 1e-3])
     def test_last_step_lands_on_zero(self, tol):
@@ -444,107 +399,6 @@ class TestKernelMatchesLoopReference:
 def test_kernel_matches_the_loop_reference(aw, omega, t0, span, log_tol, start):
     _assert_matches_loop_reference(OscParams(alpha=aw / omega, omega=omega), t0, t0 + span,
                                    start, 10.0**log_tol)
-
-
-_A_EXACT = [[Fraction(a) for a in row] for row in _A]
-
-
-def _exact_polynomials() -> tuple[list, list, list]:
-    """The coefficients of R, Phi5 and Phi3 of the stored tableau, as Fractions.
-
-    Stage i's input is sum_k (M^k 1)_i Z^k y, M being the stage matrix _A[:12].
-    """
-    powers = [[Fraction(1)] * 12]
-    for _ in range(11):
-        prev = powers[-1]
-        powers.append([sum((a * w for a, w in zip(row, prev)), Fraction(0)) for row in _A_EXACT[:-1]])
-
-    def weigh(weights):
-        return [sum((Fraction(c) * w for c, w in zip(weights, pk)), Fraction(0)) for pk in powers]
-
-    return [Fraction(1)] + weigh(_A[-1]), weigh(_E5), weigh(_E3)
-
-
-def _exact_tableau_step(x: float, u: float, h: float, g: float) -> tuple:
-    """_pair_step's outputs under one constant g, the stages taken in exact arithmetic."""
-    x, u, h, g = map(Fraction, (x, u, h, g))
-    us, fs = [], []
-    for row in _A_EXACT[:-1]:
-        xi = x + h * sum((a * ui for a, ui in zip(row, us)), Fraction(0))
-        us.append(u + h * sum((a * fi for a, fi in zip(row, fs)), Fraction(0)))
-        fs.append(g * xi)
-
-    def weigh(weights, ks):
-        return sum((Fraction(c) * k for c, k in zip(weights, ks)), Fraction(0))
-
-    return (x + h * weigh(_A[-1], us), u + h * weigh(_A[-1], fs),
-            weigh(_E5, us), weigh(_E3, us), weigh(_E5, fs), weigh(_E3, fs))
-
-
-class TestFlatStep:
-    """Where Omega is flat, a step is the tableau's in exact arithmetic, rounded.
-
-    Its outputs lie within a few ulps of the exact tableau step, closer than
-    the stage loop's on the same inputs, and a long march at one step size
-    gathers no more error than the loop's does.
-    """
-
-    def test_coefficients_are_the_stored_tableau_s(self):
-        r, phi5, phi3 = _exact_polynomials()
-        assert _R == tuple(map(float, r))
-        assert _R_LOW == (float(r[1] - Fraction(_R[1])), float(r[2] - Fraction(_R[2])))
-        assert _PHI5 == tuple(map(float, phi5))
-        assert _PHI3 == tuple(map(float, phi3))
-        # eighth order: R(Z) agrees with exp(Z) up to Z^8, to the rounding of the tableau
-        assert all(abs(r[k] * math.factorial(k) - 1) < 1e-14 for k in range(9))
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_within_eight_ulps_of_the_exact_tableau_step(self, seed):
-        # errors in ulps of each output's size in the phase plane: a pair (x, u)
-        # of size n = hypot(x, u/w) has positions of size n, velocities and their
-        # error sums of size w*n, and error sums of accelerations of size w*w*n
-        rng = random.Random(seed)
-        flat_err, loop_err = [], []
-        for _ in range(40):
-            w = math.exp(rng.uniform(math.log(0.3), math.log(3.0)))
-            g = -(w * w)
-            h = math.exp(rng.uniform(math.log(1e-3), math.log(4.0))) / w
-            x, u, y, v = (rng.uniform(-3.0, 3.0) * 10.0 ** rng.uniform(-2.0, 1.0) for _ in range(4))
-            exact = _exact_tableau_step(x, u, h, g) + _exact_tableau_step(y, v, h, g)
-            ulps = [EPS * s * n for n in (math.hypot(x, u / w), math.hypot(y, v / w))
-                    for s in (1.0, w, w, w, w * w, w * w)]
-            for outputs, errs in ((_flat_step(x, u, y, v, h, g), flat_err),
-                                  (_pair_step(x, u, h, (g,) * 12) + _pair_step(y, v, h, (g,) * 12),
-                                   loop_err)):
-                errs.append([float(abs(Fraction(o) - e)) / ulp
-                             for o, e, ulp in zip(outputs, exact, ulps)])
-        flat_err, loop_err = np.array(flat_err), np.array(loop_err)
-        assert flat_err.max() <= 8.0
-        # no less accurate than the stage loop, output by output
-        assert (flat_err.max(axis=0) <= loop_err.max(axis=0)).all()
-        assert (flat_err.mean(axis=0) <= loop_err.mean(axis=0)).all()
-
-    @pytest.mark.parametrize("t0, t1", [(-1260.0, -1.0), (2.0, 1780.0)], ids=["before", "after"])
-    def test_long_march_gathers_no_more_error_than_the_loop(self, t0, t1):
-        # over 200 periods wholly before or after the switch, the kernel's flat
-        # step against the stage loop, both at one fixed step of 1/8: a rounding
-        # the step repeats at that size would add up step by step
-        p = OscParams(alpha=0.5)
-        (eps0,), (eps_dot0,) = (v.tolist() for v in amplitude([t0], p))
-        kernel_times, kernel, _ = _loop_reference(p, t0, t1, (eps0, eps_dot0), 1e-11,
-                                                  fixed_step=0.125, flat_kernel=True)
-        times, states, _ = _loop_reference(p, t0, t1, (eps0, eps_dot0), 1e-11, fixed_step=0.125)
-        assert kernel_times.tobytes() == times.tobytes() and len(times) == 8 * (t1 - t0) + 1
-        closed, _ = amplitude(times, p)
-
-        def error_and_drift(s):
-            w = wronskian_of(s[:, 0], s[:, 1])
-            return np.max(np.abs(s[:, 0] - closed)), np.max(np.abs(w - w[0]))
-
-        # no worse, up to the spread of one unbiased rounding per step
-        slack = math.sqrt(len(times)) * EPS * np.max(np.abs(states))
-        for flat, loop in zip(error_and_drift(kernel), error_and_drift(states)):
-            assert flat <= loop + slack
 
 
 class TestFlatFlow:
@@ -703,10 +557,10 @@ class TestFindRoot:
 
     @pytest.mark.parametrize("aw", [0.5, 0.97])
     def test_validate_oracle_polish_closes_in_few_calls(self, aw, monkeypatch):
-        # validate's search for the coherent instants, on the brackets between
-        # the oracle's steps over three post-switch periods: the secant reaches
-        # each zero from one side, and the next secant point, set tol past it,
-        # closes the bracket
+        # validate's search for the coherent instants, on the brackets of the
+        # grid of _INSTANT_CELLS cells over three post-switch periods, on the
+        # flat flow: the secant reaches each zero from one side, and the next
+        # secant point, set tol past it, closes the bracket
         calls = []
 
         def counted(f, lo, hi, tol):

@@ -15,7 +15,8 @@ outputs a change moves:
 The set covers every subcommand at alpha*omega = 0, 0.5 and 0.97 (omega = 1),
 in both formats, at four windows or instants each, plus a few invocations
 that fail or sit at the edge of double precision or time resolution, two
-`validate` windows far past the switch, a few small outputs, a few large
+`validate` windows far past the switch, one whose amplitude reaches about
+1e50 (``--omega=1e-100 --t0=-5 --t1=2e100``), a few small outputs, a few large
 ones that span many blocks of the array float formatter, and a few that
 read settings from a config file.
 """
@@ -61,6 +62,9 @@ EDGE_CASES = (
     # validate windows far past the switch, which the oracle reaches by the flat flow
     ("validate", "--t0=1e4", "--t1=10060"),
     ("validate", "--alpha=0.5", "--t0=1e6", "--t1=1000060"),
+    # a validate window whose amplitude reaches about 1e50, which the phase
+    # constant's verdict judges relative to that size
+    ("validate", "--omega=1e-100", "--t0=-5", "--t1=2e100"),
     # a table window the doubles cannot resolve
     ("epsilon", "--t0=1e20", "--t1=1.0000000000001e20", "--samples=3"),
     # flag values that do not convert to their setting's type, or are empty
