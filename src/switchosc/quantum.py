@@ -19,8 +19,8 @@ from .classical import amplitude, envelope_of, epsilon
 from .errors import RangeError
 from .frequency import OscParams, require_resolved
 
-# the most points of a coherence scan's grid; the command line caps --samples
-# at the same number
+# the most points of a table, and of a coherence scan's window at 16 points
+# per event spacing; the command line caps --samples at the same number
 MAX_SAMPLES = 1_000_001
 
 
@@ -163,29 +163,6 @@ def second_moments(t: float, p: OscParams) -> CovarianceState:
     return CovarianceState(sq2=sq2.item(), sp2=sp2.item(), cqp=cqp.item())
 
 
-def envelope_slope(ts, p: OscParams) -> np.ndarray:
-    """d|eps|/dt at every time of the float array ``ts``."""
-    return envelope_of(*amplitude(ts, p))[1]
-
-
-def slope_sign_changes(p: OscParams, t_lo: float, t_hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """A grid ``ts`` of [t_lo, t_hi], 16 points per event spacing, and the cells
-    k (from ts[k] to ts[k + 1]) where exactly one end has a rising envelope.
-
-    Raises:
-        RangeError: before allocating a grid of more than ``MAX_SAMPLES`` points.
-    """
-    n = max(8, math.ceil((t_hi - t_lo) / (math.pi / (2.0 * p.final_frequency) / 16.0)))
-    if n + 1 > MAX_SAMPLES:
-        raise RangeError(
-            f"the scan grid of [{t_lo!r}, {t_hi!r}] would hold {n + 1} points, "
-            f"more than the cap of {MAX_SAMPLES}"
-        )
-    ts = t_lo + np.arange(n + 1) * (t_hi - t_lo) / n
-    rising = envelope_slope(ts, p) > 0.0
-    return ts, np.flatnonzero(rising[:-1] != rising[1:])
-
-
 def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResult:
     """All cofluctuation zeros in [t_lo, t_hi] of the post-switch region.
 
@@ -193,17 +170,16 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
     with w the final frequency and dt = t - switch_end, so the zeros of c_qp
     (the envelope extrema) are exactly switch_end + k*pi/(2*w).  Those more
     than 1e-6 of that spacing inside the window are the events; one on an
-    edge is ambiguous.  A self-check that does not rest on the formula guards
-    them: on the grid of :func:`slope_sign_changes`, each event needs a sign
-    change in its own cell or the next, and each sign change an instant within
-    one cell.  Each event also records the nearest reference coherent-instant
-    prediction and the offset from it, as diagnostics.
+    edge is ambiguous.  The moments are taken at those instants alone.  Each
+    event also records the nearest reference coherent-instant prediction and
+    the offset from it, as diagnostics.
 
     Raises:
         RangeError: if ``t_lo`` precedes the switch end, t_hi <= t_lo, or,
             where the envelope is not flat, the doubles near ``t_hi`` are more
-            than 1e-9 of the event spacing apart, the grid would exceed
-            ``MAX_SAMPLES`` points, or the self-check fails.
+            than 1e-9 of the event spacing apart, or a grid of the window at
+            16 points per event spacing would hold more than ``MAX_SAMPLES``
+            points.
     """
     t_j = p.switch_end
     if t_lo < t_j:
@@ -224,21 +200,17 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
 
     spacing = math.pi / (2.0 * w)
     require_resolved("t_hi", t_hi, spacing)  # the doubles are coarsest at t_hi
-    ts, changes = slope_sign_changes(p, t_lo, t_hi)
-    # the instants of the window and one more on each side, and their grid cells
+    # the size rule, counted without building anything: a grid of the window
+    # at 16 points per spacing would hold n + 1 points
+    n = math.ceil((t_hi - t_lo) / (spacing / 16.0))
+    if n + 1 > MAX_SAMPLES:
+        raise RangeError(
+            f"the scan grid of [{t_lo!r}, {t_hi!r}] would hold {n + 1} points, "
+            f"more than the cap of {MAX_SAMPLES}"
+        )
     k = np.arange(math.floor((t_lo - t_j) / spacing), math.ceil((t_hi - t_j) / spacing) + 1)
     instants = t_j + k * spacing
-    cells = np.searchsorted(ts, instants, side="right") - 1
-    keep = (instants - t_lo > 1e-6 * spacing) & (t_hi - instants > 1e-6 * spacing)
-    roots = instants[keep]
-    lost = roots[~np.isin(cells[keep], np.concatenate((changes - 1, changes, changes + 1)))]
-    if lost.size:
-        raise RangeError(f"self-check failed: the envelope slope does not change sign "
-                         f"within one grid cell of the instant {lost[0].item()!r}")
-    stray = ts[changes[~np.isin(changes, np.concatenate((cells - 1, cells, cells + 1)))]]
-    if stray.size:
-        raise RangeError(f"self-check failed: the envelope slope changes sign at "
-                         f"{stray[0].item()!r}, more than one grid cell from every instant")
+    roots = instants[(instants - t_lo > 1e-6 * spacing) & (t_hi - instants > 1e-6 * spacing)]
 
     pred_spacing = math.pi / (4.0 * p.initial_frequency)
     t_pred = t_j + (np.maximum(1.0, np.round((roots - t_j) / pred_spacing - 0.5)) + 0.5) * pred_spacing

@@ -432,9 +432,11 @@ class TestNonFiniteOutput:
           "--format", "json"], "sigma_q2"),
         (["phase-diagram", "--omega", "1e-300", "--z-re", "1e200", "--samples", "3"], "q_mean"),
         (["wigner", "--omega", "1e-300", "--z-re", "1e200", "--grid-n", "16"], "q"),
-        (["validate", "--omega", "1e-307", "--mass", "1e-5", "--alpha", "0", "--grid-n", "16"],
+        # validate refuses an omega whose square is not a normal double, so
+        # its overflow comes from a lighter mass
+        (["validate", "--omega", "1e-150", "--mass", "1e-160", "--alpha", "0", "--grid-n", "16"],
          "phase_space_normalization_prefactor.evidence.grid_integral_computed"),
-        (["validate", "--omega", "1e-307", "--mass", "1e-5", "--alpha", "0", "--grid-n", "16",
+        (["validate", "--omega", "1e-150", "--mass", "1e-160", "--alpha", "0", "--grid-n", "16",
           "--format", "json"], "phase_space_normalization_prefactor.evidence.grid_integral_computed"),
     ], ids=["moments-csv", "moments-json", "phase-diagram", "wigner", "validate-text",
             "validate-json"])
@@ -447,7 +449,7 @@ class TestNonFiniteOutput:
 
     def test_validate_report_is_not_written(self, capsys, tmp_path):
         path = tmp_path / "report.json"
-        code, out, err = run(capsys, "validate", "--omega", "1e-307", "--mass", "1e-5",
+        code, out, err = run(capsys, "validate", "--omega", "1e-150", "--mass", "1e-160",
                              "--alpha", "0", "--grid-n", "16", "--format", "json",
                              "--out", str(path))
         assert code == 1
@@ -601,6 +603,42 @@ class TestValidate:
         assert phase["evidence"]["ode_max_error_computed"] > 1e30
         assert phase["evidence"]["ode_max_error_reference"] > 1e49
         assert phase["verdict"].startswith("adopted constant reproduces")
+
+    def test_derivative_check_scales_with_the_probe(self, capsys):
+        # at omega 1e-100 the probe sits near 7.9e99, where a step of 1e-5
+        # rounds away, and eps_dot is near 1e-50; alpha*omega = 0.5 there
+        code, out, _ = run(capsys, "validate", "--omega=1e-100", "--alpha=5e99", "--t0=-5",
+                           "--t1=2e100", "--format=json")
+        assert code == 0
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        deriv = checks["switching_derivative_sin_factor"]["evidence"]
+        assert deriv["fd_error_computed"] < 1e-60 < 1e-52 < deriv["fd_error_reference"]
+        assert all("inconclusive" not in c["verdict"] for c in checks.values())
+
+    def test_derivative_check_cannot_separate_factors_below_rounding(self, capsys):
+        # at the default alpha, alpha*omega = 5e-101 and the two factors give
+        # one double, so the check stays open, but on a finite difference of
+        # relative error near 1e-12 rather than on rounding noise
+        code, out, _ = run(capsys, "validate", "--omega=1e-100", "--t0=-5", "--t1=2e100",
+                           "--format=json")
+        assert code == 0
+        deriv = {c["name"]: c for c in json.loads(out)["checks"]}["switching_derivative_sin_factor"]
+        assert deriv["evidence"]["fd_error_computed"] == deriv["evidence"]["fd_error_reference"] < 1e-60
+        assert deriv["verdict"].startswith("inconclusive")
+
+    def test_omega_whose_oracle_underflows_is_refused(self, capsys):
+        # the oracle steps eps'' = -Omega^2*eps; below the bound Omega^2 is
+        # subnormal or 0 and the run is a free particle's
+        lowest = math.sqrt(sys.float_info.min)
+        while lowest * lowest < sys.float_info.min:
+            lowest = math.nextafter(lowest, math.inf)
+        code, out, err = run(capsys, "validate", f"--omega={lowest!r}", "--alpha=0", "--grid-n=16")
+        assert code == 0 and err == "" and out.count("verdict:") == 4
+        for omega in (math.nextafter(lowest, 0.0), 1e-200):
+            code, out, err = run(capsys, "validate", f"--omega={omega!r}", "--alpha=0")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"omega={omega!r}" in err
 
     def test_scan_without_events_has_no_computed_value(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "coherence_scan",

@@ -15,10 +15,13 @@ outputs a change moves:
 The set covers every subcommand at alpha*omega = 0, 0.5 and 0.97 (omega = 1),
 in both formats, at four windows or instants each, plus a few invocations
 that fail or sit at the edge of double precision or time resolution, two
-`validate` windows far past the switch, one whose amplitude reaches about
-1e50 (``--omega=1e-100 --t0=-5 --t1=2e100``), a few small outputs, a few large
-ones that span many blocks of the array float formatter, and a few that
-read settings from a config file.
+`validate` windows far past the switch, two whose amplitude reaches about
+1e50 (``--omega=1e-100 --t0=-5 --t1=2e100``, at alpha*omega = 5e-101 and
+0.5), one whose derivative probe lies past t = 1 (``--omega=0.5``), one
+whose omega it refuses (``--omega=1e-200``), the longest `coherence` window
+the size rule accepts at the default parameters and the next one it
+refuses, a few small outputs, a few large ones that span many blocks of the
+array float formatter, and a few that read settings from a config file.
 """
 
 from __future__ import annotations
@@ -63,8 +66,18 @@ EDGE_CASES = (
     ("validate", "--t0=1e4", "--t1=10060"),
     ("validate", "--alpha=0.5", "--t0=1e6", "--t1=1000060"),
     # a validate window whose amplitude reaches about 1e50, which the phase
-    # constant's verdict judges relative to that size
+    # constant's verdict judges relative to that size, at alpha*omega = 5e-101
+    # and 0.5; the derivative check's step and bar scale with its probe
     ("validate", "--omega=1e-100", "--t0=-5", "--t1=2e100"),
+    ("validate", "--omega=1e-100", "--alpha=5e99", "--t0=-5", "--t1=2e100"),
+    # a validate whose derivative probe pi/(4*omega) lies past 1
+    ("validate", "--omega=0.5", "--format=json"),
+    # an omega whose Omega^2 underflows, which validate refuses
+    ("validate", "--omega=1e-200"),
+    # the longest coherence window from the default start that the size rule
+    # accepts (62499 events), and the next double of t1, which it refuses
+    ("coherence", "--t1=138841.66261377573"),
+    ("coherence", "--t1=138841.66261377576"),
     # a table window the doubles cannot resolve
     ("epsilon", "--t0=1e20", "--t1=1.0000000000001e20", "--samples=3"),
     # flag values that do not convert to their setting's type, or are empty
