@@ -27,7 +27,6 @@ from .errors import (
 from .frequency import OscParams, omega_of, omega_profile
 from .numerics import Trajectory, derivative, find_root, flat_flow, integrate_ode, quadrature
 from .quantum import (
-    CoherenceEvent,
     CoherenceScanResult,
     CovarianceState,
     FirstMoments,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassicalAmplitude",
-    "CoherenceEvent",
     "CoherenceScanResult",
     "CovarianceState",
     "DomainError",

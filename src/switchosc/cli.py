@@ -25,8 +25,8 @@ from .emit import csv_pieces, format_float, format_value, json_pieces, table_chu
 from .errors import DomainError, RangeError, SwitchOscError
 from .frequency import OscParams, omega_profile, require_resolved
 from .numerics import derivative, find_root, flat_flow, integrate_ode, quadrature
-from .quantum import (MAX_SAMPLES, coherence_scan, conserved_pair_of, first_moments_of,
-                      second_moments_of)
+from .quantum import (MAX_SAMPLES, coherence_scan, conserved_pair_of, first_moments_of, interior,
+                      scan_window, second_moments_of)
 from .wigner import grid_csv_pieces, grid_integral, grid_json_pieces, wigner_grid
 
 # size caps, checked before anything is allocated; MAX_SAMPLES comes from quantum
@@ -148,10 +148,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if samples > MAX_SAMPLES:
         raise DomainError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     if args.command == "coherence":
-        # default scan window: three post-switch periods starting at the switch end
-        t_j = params.switch_end
+        t_j, t_end = scan_window(params)
         t0 = t_j if s["t0"] is None else s["t0"]
-        t1 = t_j + 3.0 * (2.0 * math.pi / params.final_frequency) if s["t1"] is None else s["t1"]
+        t1 = t_end if s["t1"] is None else s["t1"]
         if t0 < t_j:
             raise DomainError(f"coherence scan must start at or after the switch end {t_j!r}, got t0={t0!r}")
     else:
@@ -204,8 +203,9 @@ def _require_finite(names: Sequence[str], columns) -> None:
 
 def _emit_table(cfg: RunConfig, columns: Sequence[str], rows: np.ndarray,
                 extra: Sequence[tuple[str, object]] = ()) -> int:
-    """Write the 2-D float array ``rows`` under ``columns`` as CSV or JSON."""
-    _require_finite(columns, rows.T)
+    """Write the 2-D float array ``rows`` under ``columns``, after the ``extra`` items, as CSV or JSON."""
+    floats = [(key, value) for key, value in extra if isinstance(value, float)]
+    _require_finite((*columns, *(key for key, _ in floats)), (*rows.T, *(value for _, value in floats)))
     # the rows go out a block at a time, never held as one string
     if cfg.format == "csv":
         pieces = csv_pieces((*cfg.header.items(), *extra), ",".join(columns), table_chunks(rows, ",", "\n"))
@@ -279,13 +279,12 @@ def _cmd_wigner(cfg: RunConfig) -> int:
 
 def _cmd_coherence(cfg: RunConfig) -> int:
     scan = coherence_scan(cfg.params, cfg.t0, cfg.t1)
-    rows = np.array([(e.t, e.sq_ratio, e.sp_ratio, e.cqp, e.t_predicted, e.offset)
-                     for e in scan.events], dtype=float).reshape(-1, 6)
+    # each column is the scan's array of that name
+    cols = ("t", "sq_ratio", "sp_ratio", "c_qp", "t_predicted", "offset")
+    rows = np.column_stack([getattr(scan, name) for name in cols])
     extra: list[tuple[str, object]] = [("always_coherent", scan.always_coherent)]
     if scan.always_coherent:
-        extra.append(("uniform_sq_ratio", scan.sq_ratio))
-        extra.append(("uniform_sp_ratio", scan.sp_ratio))
-    cols = ("t", "sq_ratio", "sp_ratio", "c_qp", "t_predicted", "offset")
+        extra += [("uniform_sq_ratio", scan.uniform_sq_ratio), ("uniform_sp_ratio", scan.uniform_sp_ratio)]
     return _emit_table(cfg, cols, rows, extra=tuple(extra))
 
 
@@ -327,7 +326,7 @@ def build_validation_report(cfg: RunConfig) -> dict:
     (eps,), (eps_dot,) = (v.tolist() for v in amplitude([t_probe], p))
     checks = []
     w0, w_after = p.initial_frequency, p.final_frequency
-    t_lo, t_hi = t_j, t_j + 3.0 * (2.0 * math.pi / w_after)
+    t_lo, t_hi = scan_window(p)
     scan = coherence_scan(p, t_lo, t_hi)
 
     # -- the oracle: DOP853 over the switch window only -----------------------
@@ -454,18 +453,17 @@ def build_validation_report(cfg: RunConfig) -> dict:
             "computed_value": 1.0,
             "evidence": {
                 "always_coherent": True,
-                "uniform_sq_ratio": scan.sq_ratio,
-                "uniform_sp_ratio": scan.sp_ratio,
+                "uniform_sq_ratio": scan.uniform_sq_ratio,
+                "uniform_sp_ratio": scan.uniform_sp_ratio,
             },
             "verdict": ("degenerate: with a static frequency the cofluctuation "
                         "vanishes identically and both ratios equal one"),
         })
     else:
-        events_t = [e.t for e in scan.events]
-        spacing = math.pi / (2.0 * w_after)
-        found = _oracle_instants(w_after, t_j, at_end, t_lo, t_hi)
+        events_t = scan.t.tolist()
+        spacing = scan.spacing
         # edge zeros dropped as the scan drops them
-        found_t = found[(found - t_lo > 1e-6 * spacing) & (t_hi - found > 1e-6 * spacing)].tolist()
+        found_t = interior(_oracle_instants(w_after, t_j, at_end, t_lo, t_hi), t_lo, t_hi, spacing).tolist()
         found_offsets = [min(abs(f - e) for e in events_t) for f in found_t] if events_t else []
         spacings = [b - a for a, b in zip(found_t, found_t[1:])]
         if (len(found_t) == len(events_t) and all(d <= 1e-9 * spacing for d in found_offsets)
@@ -479,22 +477,23 @@ def build_validation_report(cfg: RunConfig) -> dict:
             verdict = ("inconclusive: the zeros found by root search do not match the "
                        "scan's instants to 1e-9 of the post-switch envelope spacing, or "
                        "are not spaced by it to 1e-9 relative")
+        sq_ratios = scan.sq_ratio.tolist()
         checks.append({
             "name": "coherent_instants",
             "reference_value": 1.0,
-            "computed_value": scan.events[0].sq_ratio if scan.events else None,
+            "computed_value": sq_ratios[0] if sq_ratios else None,
             "evidence": {
                 "events_t": events_t,
-                "predicted_t": [e.t_predicted for e in scan.events],
-                "offsets": [e.offset for e in scan.events],
-                "sq_ratios": [e.sq_ratio for e in scan.events],
-                "sp_ratios": [e.sp_ratio for e in scan.events],
-                "cqp_at_events": [e.cqp for e in scan.events],
+                "predicted_t": scan.t_predicted.tolist(),
+                "offsets": scan.offset.tolist(),
+                "sq_ratios": sq_ratios,
+                "sp_ratios": scan.sp_ratio.tolist(),
+                "cqp_at_events": scan.c_qp.tolist(),
                 "found_t": found_t,
                 "found_offsets": found_offsets,
                 "found_spacing": spacings,
                 "envelope_spacing": spacing,
-                "reference_spacing": math.pi / (4.0 * p.initial_frequency),
+                "reference_spacing": scan.reference_spacing,
                 "expected_sq_ratio": [math.sqrt(1.0 - aw), 1.0 / math.sqrt(1.0 - aw)],
             },
             "verdict": verdict,

@@ -60,38 +60,33 @@ class CovarianceState:
 
 
 @dataclass(frozen=True)
-class CoherenceEvent:
-    """One zero of the cofluctuation in the post-switch region.
-
-    ``sq_ratio`` and ``sp_ratio`` are the dimensionless variances
-    m*Omega*sigma_q^2/(hbar/2) and sigma_p^2/(m*Omega*hbar/2); both equal one
-    for a true coherent state.  ``t_predicted`` is the nearest instant from
-    the reference coherent-instant formula and ``offset`` the gap to it —
-    diagnostic output, not an invariant.
-    """
-
-    t: float
-    sq_ratio: float
-    sp_ratio: float
-    cqp: float
-    t_predicted: float
-    offset: float
-
-
-@dataclass(frozen=True)
 class CoherenceScanResult:
-    """Outcome of scanning for cofluctuation zeros.
+    """Outcome of scanning for cofluctuation zeros: one array per column, one entry per event.
+
+    ``t`` is the zero of ``c_qp``; ``sq_ratio`` and ``sp_ratio`` are the
+    dimensionless variances m*Omega*sigma_q^2/(hbar/2) and
+    sigma_p^2/(m*Omega*hbar/2) there, both one for a true coherent state.
+    ``t_predicted`` is the nearest instant of the reference coherent-instant
+    formula, spaced by ``reference_spacing``, and ``offset`` the gap to it —
+    diagnostic output, not an invariant.  ``spacing`` is the event spacing.
 
     Where the post-switch envelope is flat (after_re == after_im: alpha = 0,
     or 1 - alpha*omega rounds to 1) the cofluctuation vanishes identically;
-    ``always_coherent`` is then set and the uniform ratios are reported
-    instead of discrete events.
+    ``always_coherent`` is then set, the columns are empty, and the ratios at
+    the window start are ``uniform_sq_ratio`` and ``uniform_sp_ratio``.
     """
 
     always_coherent: bool
-    events: tuple[CoherenceEvent, ...]
-    sq_ratio: float | None = None
-    sp_ratio: float | None = None
+    spacing: float
+    reference_spacing: float
+    t: np.ndarray
+    sq_ratio: np.ndarray
+    sp_ratio: np.ndarray
+    c_qp: np.ndarray
+    t_predicted: np.ndarray
+    offset: np.ndarray
+    uniform_sq_ratio: float | None = None
+    uniform_sp_ratio: float | None = None
 
 
 def invariant_coefficients(t: float, p: OscParams) -> InvariantCoefficients:
@@ -163,16 +158,27 @@ def second_moments(t: float, p: OscParams) -> CovarianceState:
     return CovarianceState(sq2=sq2.item(), sp2=sp2.item(), cqp=cqp.item())
 
 
+def scan_window(p: OscParams) -> tuple[float, float]:
+    """The default scan window: three post-switch periods from the switch end."""
+    return p.switch_end, p.switch_end + 3.0 * (2.0 * math.pi / p.final_frequency)
+
+
+def interior(ts: np.ndarray, t_lo: float, t_hi: float, spacing: float) -> np.ndarray:
+    """The instants of ``ts`` more than 1e-6 of ``spacing`` inside [t_lo, t_hi];
+    one nearer an edge is ambiguous."""
+    margin = 1e-6 * spacing
+    return ts[(ts - t_lo > margin) & (t_hi - ts > margin)]
+
+
 def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResult:
     """All cofluctuation zeros in [t_lo, t_hi] of the post-switch region.
 
     After the switch |eps|^2 = after_re^2*cos^2(w*dt) + after_im^2*sin^2(w*dt),
     with w the final frequency and dt = t - switch_end, so the zeros of c_qp
-    (the envelope extrema) are exactly switch_end + k*pi/(2*w).  Those more
-    than 1e-6 of that spacing inside the window are the events; one on an
-    edge is ambiguous.  The moments are taken at those instants alone.  Each
-    event also records the nearest reference coherent-instant prediction and
-    the offset from it, as diagnostics.
+    (the envelope extrema) are exactly switch_end + k*pi/(2*w).  Those
+    :func:`interior` to the window are the events, and the moments are taken
+    at those instants alone.  Each event also records the nearest reference
+    coherent-instant prediction and the offset from it, as diagnostics.
 
     Raises:
         RangeError: if ``t_lo`` precedes the switch end, t_hi <= t_lo, or,
@@ -186,35 +192,31 @@ def coherence_scan(p: OscParams, t_lo: float, t_hi: float) -> CoherenceScanResul
         raise RangeError(f"scan must start at or after the switch end {t_j!r}, got {t_lo!r}")
     if not t_hi > t_lo:
         raise RangeError(f"need t_hi > t_lo, got [{t_lo!r}, {t_hi!r}]")
-    half = 0.5 * p.hbar
     # the scan lies at or past the switch end, where Omega is the final frequency
     w = p.final_frequency
-    if p.after_re == p.after_im:
-        cov = second_moments(t_lo, p)
-        return CoherenceScanResult(
-            always_coherent=True,
-            events=(),
-            sq_ratio=p.m * w * cov.sq2 / half,
-            sp_ratio=cov.sp2 / (p.m * w * half),
-        )
-
     spacing = math.pi / (2.0 * w)
-    require_resolved("t_hi", t_hi, spacing)  # the doubles are coarsest at t_hi
-    # the size rule, counted without building anything: a grid of the window
-    # at 16 points per spacing would hold n + 1 points
-    n = math.ceil((t_hi - t_lo) / (spacing / 16.0))
-    if n + 1 > MAX_SAMPLES:
-        raise RangeError(
-            f"the scan grid of [{t_lo!r}, {t_hi!r}] would hold {n + 1} points, "
-            f"more than the cap of {MAX_SAMPLES}"
-        )
-    k = np.arange(math.floor((t_lo - t_j) / spacing), math.ceil((t_hi - t_j) / spacing) + 1)
-    instants = t_j + k * spacing
-    roots = instants[(instants - t_lo > 1e-6 * spacing) & (t_hi - instants > 1e-6 * spacing)]
-
     pred_spacing = math.pi / (4.0 * p.initial_frequency)
-    t_pred = t_j + (np.maximum(1.0, np.round((roots - t_j) / pred_spacing - 0.5)) + 0.5) * pred_spacing
-    sq2, sp2, cqp = second_moments_of(*amplitude(roots, p), p)
-    columns = (roots, p.m * w * sq2 / half, sp2 / (p.m * w * half), cqp, t_pred, np.abs(roots - t_pred))
-    events = tuple(CoherenceEvent(*row) for row in zip(*(c.tolist() for c in columns)))
-    return CoherenceScanResult(always_coherent=False, events=events)
+    flat = p.after_re == p.after_im
+    if flat:
+        ts = np.array([t_lo])
+    else:
+        require_resolved("t_hi", t_hi, spacing)  # the doubles are coarsest at t_hi
+        # the size rule, counted without building anything: a grid of the window
+        # at 16 points per spacing would hold n + 1 points
+        n = math.ceil((t_hi - t_lo) / (spacing / 16.0))
+        if n + 1 > MAX_SAMPLES:
+            raise RangeError(
+                f"the scan grid of [{t_lo!r}, {t_hi!r}] would hold {n + 1} points, "
+                f"more than the cap of {MAX_SAMPLES}"
+            )
+        k = np.arange(math.floor((t_lo - t_j) / spacing), math.ceil((t_hi - t_j) / spacing) + 1)
+        ts = interior(t_j + k * spacing, t_lo, t_hi, spacing)
+    half = 0.5 * p.hbar
+    sq2, sp2, cqp = second_moments_of(*amplitude(ts, p), p)
+    sq_ratio, sp_ratio = p.m * w * sq2 / half, sp2 / (p.m * w * half)
+    if flat:
+        return CoherenceScanResult(True, spacing, pred_spacing, *[np.empty(0)] * 6,
+                                   uniform_sq_ratio=sq_ratio.item(), uniform_sp_ratio=sp_ratio.item())
+    t_pred = t_j + (np.maximum(1.0, np.round((ts - t_j) / pred_spacing - 0.5)) + 0.5) * pred_spacing
+    return CoherenceScanResult(False, spacing, pred_spacing, ts, sq_ratio, sp_ratio, cqp, t_pred,
+                               np.abs(ts - t_pred))

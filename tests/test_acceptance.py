@@ -183,17 +183,17 @@ def test_criterion_10_coherence_scan():
     aw = FIG.alpha * FIG.omega
     spacing = math.pi / (2.0 * FIG.omega * math.sqrt(1.0 - aw))
     scan = coherence_scan(FIG, TJ, TJ + 3.0 * 2.0 * math.pi / (FIG.omega * math.sqrt(1.0 - aw)))
-    times = [e.t for e in scan.events]
+    times = scan.t.tolist()
     spacing_ok = len(times) >= 4 and all(
         abs((b - a) - spacing) < 1e-9 for a, b in zip(times, times[1:])
     )
     hb4 = 0.25 * FIG.hbar**2
     det_ok = all(
         abs(c.sq2 * c.sp2 - c.cqp**2 - hb4) < 1e-10
-        for c in (second_moments(e.t, FIG) for e in scan.events)
+        for c in (second_moments(t, FIG) for t in times)
     )
-    ratios = sorted({round(e.sq_ratio, 9) for e in scan.events})
-    offsets = [e.offset for e in scan.events]
+    ratios = sorted({round(r, 9) for r in scan.sq_ratio.tolist()})
+    offsets = scan.offset.tolist()
     ok = spacing_ok and det_ok and not scan.always_coherent
     _report(10, "coherence scan", ok)
     print(f"[acceptance]   measured squeeze ratios: {ratios} "

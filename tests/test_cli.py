@@ -1,6 +1,8 @@
 """Command-line surface: table contents, formats, config handling, exit codes."""
 
 import contextlib
+import dataclasses
+import importlib.util
 import io
 import json
 import math
@@ -12,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import switchosc
 from switchosc import (OscParams, conserved_pair, epsilon, first_moments, integrate_ode, omega_of,
                        second_moments)
 from switchosc import cli, quantum
 from switchosc.cli import MAX_GRID_N, MAX_SAMPLES, _build_parser, _resolve_config, main
-from switchosc.quantum import CoherenceEvent, CoherenceScanResult
 
 FIG_Q0 = 1.7320508075688772  # sqrt(3)
 # DOP853 at validate's oracle tolerance accepted 31.35 or more steps per period
@@ -402,14 +403,12 @@ EXTREME_FLOATS = (5e-324, -5e-324, 2.5e-310, 1e300, -1e300, 1e-300, -1e-300, 1e2
                   math.nan, math.inf, -math.inf)
 FLOAT_FLAGS = ("alpha", "omega", "mass", "hbar", "z-re", "z-im", "t0", "t1", "t", "n-sigma")
 NON_FINITE = re.compile(r"\b(?:nan|inf|infinity)\b", re.IGNORECASE)
+DIGESTS = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-@settings(max_examples=6, deadline=None)
-@given(flags=st.dictionaries(st.sampled_from(FLOAT_FLAGS), st.sampled_from(EXTREME_FLOATS),
-                             min_size=1, max_size=3))
-def test_extreme_floats_exit_cleanly_or_with_one_error_line(command, flags):
-    argv = [command, "--samples", "3", "--grid-n", "16", *(f"--{k}={v!r}" for k, v in flags.items())]
+def assert_output_contract(argv):
+    """Exit 0 with an empty stderr and only finite numbers on stdout, or exit 1
+    or 2 with an empty stdout and exactly one ``error:`` line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -420,6 +419,31 @@ def test_extreme_floats_exit_cleanly_or_with_one_error_line(command, flags):
         assert code in (1, 2)
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def _digest_invocations():
+    spec = importlib.util.spec_from_file_location("output_digests", DIGESTS)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.invocations()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@settings(max_examples=6, deadline=None)
+@given(flags=st.dictionaries(st.sampled_from(FLOAT_FLAGS), st.sampled_from(EXTREME_FLOATS),
+                             min_size=1, max_size=3))
+# a flat post-switch envelope whose m*Omega underflows
+@example(flags={"mass": 1e-300, "omega": 1e-300})
+def test_extreme_floats_exit_cleanly_or_with_one_error_line(command, flags):
+    assert_output_contract([command, "--samples", "3", "--grid-n", "16",
+                            *(f"--{k}={v!r}" for k, v in flags.items())])
+
+
+# the output-digest tool's invocations sit at the edges of the domain, of
+# double precision and of the size caps
+@pytest.mark.parametrize("argv", _digest_invocations(), ids=" ".join)
+def test_digest_invocations_keep_the_output_contract(argv):
+    assert_output_contract(list(argv))
 
 
 class TestNonFiniteOutput:
@@ -438,8 +462,13 @@ class TestNonFiniteOutput:
          "phase_space_normalization_prefactor.evidence.grid_integral_computed"),
         (["validate", "--omega", "1e-150", "--mass", "1e-160", "--alpha", "0", "--grid-n", "16",
           "--format", "json"], "phase_space_normalization_prefactor.evidence.grid_integral_computed"),
+        # a flat post-switch envelope whose m*Omega underflows: the uniform
+        # ratios are not finite
+        (["coherence", "--omega", "1e-150", "--mass", "1e-300", "--alpha", "0"], "uniform_sq_ratio"),
+        (["validate", "--omega", "1e-100", "--mass", "1e-250", "--alpha", "0"],
+         "phase_space_normalization_prefactor.evidence.grid_integral_computed"),
     ], ids=["moments-csv", "moments-json", "phase-diagram", "wigner", "validate-text",
-            "validate-json"])
+            "validate-json", "coherence-flat-underflow", "validate-flat-underflow"])
     def test_first_non_finite_column_is_named(self, capsys, argv, column):
         # warnings are errors under pytest, so this also checks that numpy's stay silent
         code, out, err = run(capsys, *argv)
@@ -538,10 +567,11 @@ class TestValidate:
             "on-the-zeros"])
     def test_coherent_instants_verdict_rests_on_the_searched_zeros(self, capsys, monkeypatch,
                                                                    times, verdict):
-        events = tuple(CoherenceEvent(t=t, sq_ratio=1.0, sp_ratio=1.0, cqp=0.0, t_predicted=t,
-                                      offset=0.0) for t in times)
-        monkeypatch.setattr(cli, "coherence_scan",
-                            lambda p, t_lo, t_hi: CoherenceScanResult(False, events))
+        t, ones, zeros = np.array(times, dtype=float), np.ones(len(times)), np.zeros(len(times))
+        scan = quantum.coherence_scan
+        monkeypatch.setattr(cli, "coherence_scan", lambda p, t_lo, t_hi: dataclasses.replace(
+            scan(p, t_lo, t_hi), t=t, sq_ratio=ones, sp_ratio=ones, c_qp=zeros, t_predicted=t,
+            offset=zeros))
         code, out, _ = run(capsys, "validate", "--format", "json")
         assert code == 0
         inst = {c["name"]: c for c in json.loads(out)["checks"]}["coherent_instants"]
@@ -641,8 +671,10 @@ class TestValidate:
             assert f"omega={omega!r}" in err
 
     def test_scan_without_events_has_no_computed_value(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "coherence_scan",
-                            lambda p, t_lo, t_hi: CoherenceScanResult(False, ()))
+        none, scan = np.empty(0), quantum.coherence_scan
+        monkeypatch.setattr(cli, "coherence_scan", lambda p, t_lo, t_hi: dataclasses.replace(
+            scan(p, t_lo, t_hi), t=none, sq_ratio=none, sp_ratio=none, c_qp=none, t_predicted=none,
+            offset=none))
         code, out, _ = run(capsys, "validate", "--format", "json")
         assert code == 0
         inst = {c["name"]: c for c in json.loads(out)["checks"]}["coherent_instants"]

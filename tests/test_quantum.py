@@ -160,9 +160,9 @@ class TestCoherenceScan:
     def test_static_oscillator_is_always_coherent(self):
         res = coherence_scan(FLAT, FLAT.switch_end, FLAT.switch_end + 2.0 * math.pi)
         assert res.always_coherent
-        assert res.events == ()
-        assert res.sq_ratio == pytest.approx(1.0, abs=1e-12)
-        assert res.sp_ratio == pytest.approx(1.0, abs=1e-12)
+        assert res.t.size == 0
+        assert res.uniform_sq_ratio == pytest.approx(1.0, abs=1e-12)
+        assert res.uniform_sp_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_flat_post_switch_envelope_is_always_coherent(self):
         # 1 - alpha*omega rounds to 1, so the envelope slope is zero everywhere
@@ -170,9 +170,9 @@ class TestCoherenceScan:
         assert p.after_re == p.after_im
         res = coherence_scan(p, p.switch_end, p.switch_end + 3.0 * 2.0 * math.pi / p.final_frequency)
         assert res.always_coherent
-        assert res.events == ()
-        assert res.sq_ratio == pytest.approx(1.0, abs=1e-12)
-        assert res.sp_ratio == pytest.approx(1.0, abs=1e-12)
+        assert res.t.size == 0
+        assert res.uniform_sq_ratio == pytest.approx(1.0, abs=1e-12)
+        assert res.uniform_sp_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_grid_above_the_cap_is_refused_before_allocating(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -187,15 +187,15 @@ class TestCoherenceScan:
         monkeypatch.setattr(quantum, "MAX_SAMPLES", 101)
         step = math.pi / (2.0 * FIG.final_frequency) / 16.0
         # 100 grid intervals are 101 points, 101 intervals are 102
-        assert len(coherence_scan(FIG, TJ, TJ + 99.5 * step).events) == 6
+        assert len(coherence_scan(FIG, TJ, TJ + 99.5 * step).t) == 6
         with pytest.raises(RangeError, match="102 points"):
             coherence_scan(FIG, TJ, TJ + 100.5 * step)
 
     def test_events_follow_the_post_switch_envelope_spacing(self):
         spacing = math.pi / (2.0 * math.sqrt(0.5))
         res = coherence_scan(FIG, TJ, TJ + 3.0 * 2.0 * math.pi / math.sqrt(0.5))
-        assert len(res.events) >= 4
-        times = [e.t for e in res.events]
+        assert len(res.t) >= 4
+        times = res.t.tolist()
         assert times[0] == pytest.approx(TJ + spacing, abs=1e-9)
         for a, b in zip(times, times[1:]):
             assert b - a == pytest.approx(spacing, abs=1e-9)
@@ -203,23 +203,23 @@ class TestCoherenceScan:
     def test_ratios_alternate_between_the_two_squeeze_values(self):
         res = coherence_scan(FIG, TJ, TJ + 12.0)
         low, high = math.sqrt(0.5), 1.0 / math.sqrt(0.5)
-        for k, e in enumerate(res.events):
+        for k, (sq_ratio, sp_ratio) in enumerate(zip(res.sq_ratio, res.sp_ratio)):
             sq_expect, sp_expect = (high, low) if k % 2 == 0 else (low, high)
-            assert e.sq_ratio == pytest.approx(sq_expect, abs=1e-9)
-            assert e.sp_ratio == pytest.approx(sp_expect, abs=1e-9)
+            assert sq_ratio == pytest.approx(sq_expect, abs=1e-9)
+            assert sp_ratio == pytest.approx(sp_expect, abs=1e-9)
 
     def test_cofluctuation_vanishes_and_heisenberg_holds_at_events(self):
         res = coherence_scan(FIG, TJ, TJ + 12.0)
-        for e in res.events:
-            assert abs(e.cqp) < 1e-10
-            cov = second_moments(e.t, FIG)
+        for t, cqp in zip(res.t.tolist(), res.c_qp):
+            assert abs(cqp) < 1e-10
+            cov = second_moments(t, FIG)
             assert cov.sq2 * cov.sp2 == pytest.approx(0.25, abs=1e-10)
 
     def test_reference_predictions_are_reported(self):
         res = coherence_scan(FIG, TJ, TJ + 12.0)
-        for e in res.events:
-            assert math.isfinite(e.t_predicted) and e.t_predicted > TJ
-            assert e.offset == pytest.approx(abs(e.t - e.t_predicted), abs=1e-15)
+        for t, t_predicted, offset in zip(res.t, res.t_predicted, res.offset):
+            assert math.isfinite(t_predicted) and t_predicted > TJ
+            assert offset == pytest.approx(abs(t - t_predicted), abs=1e-15)
 
     def test_window_validation(self):
         with pytest.raises(RangeError):
@@ -285,19 +285,20 @@ class TestCoherenceScanMatchesScalarReference:
     def test_closed_form_events_match_the_searched_reference(self, p, t_lo, t_hi):
         res = coherence_scan(p, t_lo, t_hi)
         want = _reference_scan(p, t_lo, t_hi)
-        assert len(res.events) >= 4
-        assert len(res.events) == len(want)
+        assert len(res.t) >= 4
+        assert len(res.t) == len(want)
         spacing = math.pi / (2.0 * p.final_frequency)
-        for e, w in zip(res.events, want):
-            assert abs(e.t - w[0]) <= 1e-12 * max(1.0, spacing)
-            assert e.t == p.switch_end + round((e.t - p.switch_end) / spacing) * spacing
-            assert (e.sq_ratio, e.sp_ratio) == pytest.approx(w[1:3], rel=1e-9)
+        columns = (res.t, res.sq_ratio, res.sp_ratio, res.c_qp, res.t_predicted, res.offset)
+        for got, w in zip(zip(*(c.tolist() for c in columns)), want):
+            t, sq_ratio, sp_ratio = got[:3]
+            assert abs(t - w[0]) <= 1e-12 * max(1.0, spacing)
+            assert t == p.switch_end + round((t - p.switch_end) / spacing) * spacing
+            assert (sq_ratio, sp_ratio) == pytest.approx(w[1:3], rel=1e-9)
             # the columns at the instant are the one-event-at-a-time ones, bit for bit
-            got = (e.t, e.sq_ratio, e.sp_ratio, e.cqp, e.t_predicted, e.offset)
-            assert tuple(map(float.hex, got)) == tuple(map(float.hex, _reference_event(p, e.t)))
+            assert tuple(map(float.hex, got)) == tuple(map(float.hex, _reference_event(p, t)))
 
     def test_window_shorter_than_the_spacing_has_no_events(self):
-        assert coherence_scan(FIG, TJ + 0.5, TJ + 1.5).events == ()
+        assert coherence_scan(FIG, TJ + 0.5, TJ + 1.5).t.size == 0
 
 
 def test_envelope_extrema_are_the_closed_form_instants():
@@ -363,6 +364,5 @@ def test_scan_events_agree_with_the_grid_of_slope_sign_changes(aw, omega, log_st
     t_hi = t_lo + width * spacing
     res = coherence_scan(p, t_lo, t_hi)
     assert not res.always_coherent
-    events = np.array([e.t for e in res.events])
-    lost, stray = _grid_disagreements(p, t_lo, t_hi, events)
+    lost, stray = _grid_disagreements(p, t_lo, t_hi, res.t)
     assert lost.tolist() == [] and stray.tolist() == []

@@ -18,10 +18,12 @@ that fail or sit at the edge of double precision or time resolution, two
 `validate` windows far past the switch, two whose amplitude reaches about
 1e50 (``--omega=1e-100 --t0=-5 --t1=2e100``, at alpha*omega = 5e-101 and
 0.5), one whose derivative probe lies past t = 1 (``--omega=0.5``), one
-whose omega it refuses (``--omega=1e-200``), the longest `coherence` window
-the size rule accepts at the default parameters and the next one it
-refuses, a few small outputs, a few large ones that span many blocks of the
-array float formatter, and a few that read settings from a config file.
+whose omega it refuses (``--omega=1e-200``), a `coherence` and a
+`validate` whose flat post-switch envelope has an m*Omega that underflows,
+the longest `coherence` window the size rule accepts at the default
+parameters and the next one it refuses, a few small outputs, a few large
+ones that span many blocks of the array float formatter, and a few that
+read settings from a config file.
 """
 
 from __future__ import annotations
@@ -74,6 +76,10 @@ EDGE_CASES = (
     ("validate", "--omega=0.5", "--format=json"),
     # an omega whose Omega^2 underflows, which validate refuses
     ("validate", "--omega=1e-200"),
+    # a flat post-switch envelope whose m*Omega underflows, so that the
+    # uniform ratios leave the doubles; both exit 1
+    ("coherence", "--omega=1e-150", "--mass=1e-300", "--alpha=0"),
+    ("validate", "--omega=1e-100", "--mass=1e-250", "--alpha=0"),
     # the longest coherence window from the default start that the size rule
     # accepts (62499 events), and the next double of t1, which it refuses
     ("coherence", "--t1=138841.66261377573"),
