@@ -50,6 +50,9 @@ _SETTINGS = (
 )
 # the type of each key a flag or the config file may set; the output path is not echoed
 _TYPES = {key: typ for key, typ, _, _ in _SETTINGS} | {"out": str}
+# the type of each long flag of a subcommand, as _build_parser defines them; --help takes no value
+_FLAG_TYPES = {**{"--" + key.replace("_", "-"): typ for key, typ in _TYPES.items()},
+               "--config": str, "--help": None}
 # validate's oracle: the tolerance of its run over the switch window, the
 # uniform instants of [t0, t1] at which the phase-constant check also compares
 # it, and the cells of the grid that brackets the coherent instants. 97 is
@@ -550,10 +553,35 @@ _COMMANDS = {
 }
 
 
+def _flag_type(arg: str):
+    """The type of the flag that ``arg`` names as argparse reads it, whole or as the prefix of one flag, or None."""
+    named = [arg] if arg in _FLAG_TYPES else [flag for flag in _FLAG_TYPES if flag.startswith(arg)]
+    return _FLAG_TYPES[named[0]] if len(named) == 1 else None
+
+
+def _join_numeric_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each ``--key value`` of a numeric setting as ``--key=value``, where the value reads as a float.
+
+    argparse takes a separate value that starts with ``-`` only if it reads
+    as a plain negative number, so without this ``--t0 -1e3`` and
+    ``--t0 -inf`` would read as a flag without its value. The setting's own
+    conversion judges the joined value, as it judges ``--t0=-1e3``.
+    """
+    out = list(argv)
+    for i in range(len(out) - 2, -1, -1):
+        if out[i].startswith("--") and "=" not in out[i] and _flag_type(out[i]) in (int, float):
+            try:
+                float(out[i + 1])
+            except ValueError:
+                continue
+            out[i:i + 2] = [f"{out[i]}={out[i + 1]}"]
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_numeric_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else int(exc.code)
     try:

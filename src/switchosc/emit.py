@@ -31,6 +31,11 @@ buffer, viewed at each block's width; a grid's lines are laid out in one
 buffer that holds the ``p,`` parts, commas and newlines, rebuilt only when a
 block's width differs from the last one's. The tables are built on the first
 array call, not at import.
+
+A sequence of values that equals its own reverse bit for bit (``-0.0`` and
+``0.0`` differ), such as every Wigner grid, is formatted only in its first
+half: its blocks keep their words, and each later block is filled with the
+words of its mirror values in reverse order.
 """
 
 from __future__ import annotations
@@ -285,6 +290,46 @@ def _text(words: np.ndarray) -> str:
     return words.tobytes().translate(None, b"\0").decode("ascii")
 
 
+def _blocks(x: np.ndarray, size: int, first: int, rows) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, words) of each block of ``size`` values of the 1-D float array ``x``, in order.
+
+    ``words`` holds the block's rows of ``rows(n)``, laid out as
+    :func:`_fill_planes` lays them out. When ``x`` equals its own reverse bit
+    for bit, only its first half is formatted: each block keeps its values'
+    words at its own width, and a later block copies the words of its mirror
+    values in reverse order, NUL-padded to the widest of them. Any other
+    ``x`` is formatted block by block.
+    """
+    bits = np.ascontiguousarray(x).view(np.uint64)
+    # the two ends first, which tell most other sequences apart at once
+    if not (bits.size and bits[0] == bits[-1] and np.array_equal(bits, bits[::-1])):
+        for start in range(0, x.size, size):
+            yield start, _fill_planes(x[start:start + size], first, rows)
+        return
+    half = (x.size + 1) // 2
+    kept = []  # kept[j]: the words of the values from size * j on, at block j's width
+    for start in range(0, x.size, size):
+        stop = min(start + size, x.size)
+        mid = max(start, min(stop, half))
+        pieces = []
+        if start < mid:
+            kept.append(_fill_planes(x[start:mid], 0, lambda n: np.empty((mid - start, n), "<u4")))
+            pieces.append(kept[-1])
+        if mid < stop:
+            # values mid..stop are those of x.size - 1 - mid down to x.size - stop
+            lo, hi = x.size - stop, x.size - mid
+            pieces += [kept[j][max(lo - j * size, 0):hi - j * size][::-1]
+                       for j in range((hi - 1) // size, lo // size - 1, -1)]
+        n = max(words.shape[1] for words in pieces)
+        out = rows(n)[:stop - start]
+        row = 0
+        for words in pieces:
+            out[row:row + len(words), first:first + words.shape[1]] = words
+            out[row:row + len(words), first + words.shape[1]:first + n] = 0
+            row += len(words)
+        yield start, out
+
+
 def table_chunks(a, sep: str, row_sep: str) -> Iterator[str]:
     """Pieces of ``row_sep.join(sep.join(map(repr, row)) for row in a)``, for the 2-D float array ``a``.
 
@@ -305,8 +350,7 @@ def table_chunks(a, sep: str, row_sep: str) -> Iterator[str]:
     def rows(n):
         return buf[:cap * (n + 1)].reshape(cap, n + 1)
 
-    for start in range(0, flat.size, BLOCK):
-        out = _fill_planes(flat[start:start + BLOCK], 0, rows)
+    for start, out in _blocks(flat, BLOCK, 0, rows):
         out[:, -1] = seps[0]
         out[(n_cols - 1 - start) % n_cols::n_cols, -1] = seps[1]
         if start + BLOCK >= flat.size:
@@ -346,10 +390,9 @@ def grid_chunks(q, p, w) -> Iterator[str]:
             lines[:, -1] = ord("\n")
         return lines
 
-    for i0 in range(0, n_q, n_rows):
-        block = w[i0:i0 + n_rows]
-        out = _fill_planes(block.reshape(-1), head, rows)
-        out.view(np.uint8).reshape(len(block), n_p, -1)[:, :, :wq] = q_b[i0:i0 + n_rows, None, :]
+    for start, out in _blocks(w.reshape(-1), n_rows * n_p, head, rows):
+        i0 = start // n_p
+        out.view(np.uint8).reshape(len(out) // n_p, n_p, -1)[:, :, :wq] = q_b[i0:i0 + n_rows, None, :]
         if i0 + n_rows >= n_q:
             out[-1, -1] = 0
         yield _text(out)

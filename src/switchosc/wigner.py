@@ -59,7 +59,12 @@ def _density(dq, dp, cov: CovarianceState, hbar: float) -> np.ndarray:
 
 def wigner_value(q: float, p: float, fm: FirstMoments, cov: CovarianceState,
                  hbar: float) -> float:
-    """Density at one phase-space point; :func:`wigner_grid` gives the same doubles.
+    """Density at one phase-space point, by the formula :func:`wigner_grid` evaluates.
+
+    A grid cell is the density at its own offsets from the means, so it is
+    ``wigner_value`` at those offsets with both means 0, bit for bit. Called
+    at the grid's axis values instead, it subtracts the means again, and the
+    differences may land an ulp from the offsets.
 
     Raises:
         DomainError: if ``cov`` violates the determinant identity beyond 1e-6
@@ -80,7 +85,11 @@ def wigner_grid(t: float, z: complex, p: OscParams,
     """Evaluate the distribution on a grid spanning +-n_sigma per axis.
 
     The grid is centered at the first moments and spans ``half_widths`` times
-    the marginal standard deviation along each axis.
+    the marginal standard deviation along each axis. Each axis is the mean
+    plus offsets that are exactly odd, and the density is evaluated at those
+    offsets, so every cell equals its mirror cell bit for bit,
+    ``values == values[::-1, ::-1]``; for an odd resolution the centre sits
+    exactly at the means and holds exactly 1/(pi*hbar).
 
     Raises:
         DomainError: if a resolution is below 16 or a half width is below 3
@@ -95,13 +104,22 @@ def wigner_grid(t: float, z: complex, p: OscParams,
     amp = amplitude([t], p)
     fm = FirstMoments(*(v.item() for v in first_moments_of(z, *amp, p)))
     cov = CovarianceState(*(v.item() for v in second_moments_of(*amp, p)))
-    s_q = math.sqrt(cov.sq2)
-    s_p = math.sqrt(cov.sp2)
-    q_axis = np.linspace(fm.q_mean - hw_q * s_q, fm.q_mean + hw_q * s_q, n_q)
-    p_axis = np.linspace(fm.p_mean - hw_p * s_p, fm.p_mean + hw_p * s_p, n_p)
-    values = _density((q_axis - fm.q_mean)[:, None], (p_axis - fm.p_mean)[None, :], cov, p.hbar)
-    return WignerGrid(q_axis=q_axis, p_axis=p_axis, values=values,
+    dq = _odd_offsets(n_q, hw_q * math.sqrt(cov.sq2))
+    dp = _odd_offsets(n_p, hw_p * math.sqrt(cov.sp2))
+    values = _density(dq[:, None], dp[None, :], cov, p.hbar)
+    return WignerGrid(q_axis=fm.q_mean + dq, p_axis=fm.p_mean + dp, values=values,
                       t=t, params=p, z=complex(z))
+
+
+def _odd_offsets(n: int, half_width: float) -> np.ndarray:
+    """``n`` uniform offsets from ``-half_width`` to ``half_width``, each exactly the negative of its mirror.
+
+    ``u - u[::-1]`` is exactly odd whatever ``linspace`` rounded, and so are
+    its products: ``d[::-1] == -d`` holds exactly, and the middle offset of
+    an odd ``n`` is 0.0.
+    """
+    u = np.linspace(-1.0, 1.0, n)
+    return half_width * (0.5 * (u - u[::-1]))
 
 
 def _simpson_weights(n: int, h: float) -> np.ndarray:

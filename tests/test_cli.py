@@ -1,5 +1,6 @@
 """Command-line surface: table contents, formats, config handling, exit codes."""
 
+import argparse
 import contextlib
 import dataclasses
 import importlib.util
@@ -431,12 +432,15 @@ def _digest_invocations():
 @pytest.mark.parametrize("command", COMMANDS)
 @settings(max_examples=6, deadline=None)
 @given(flags=st.dictionaries(st.sampled_from(FLOAT_FLAGS), st.sampled_from(EXTREME_FLOATS),
-                             min_size=1, max_size=3))
+                             min_size=1, max_size=3),
+       spaced=st.booleans())
 # a flat post-switch envelope whose m*Omega underflows
-@example(flags={"mass": 1e-300, "omega": 1e-300})
-def test_extreme_floats_exit_cleanly_or_with_one_error_line(command, flags):
-    assert_output_contract([command, "--samples", "3", "--grid-n", "16",
-                            *(f"--{k}={v!r}" for k, v in flags.items())])
+@example(flags={"mass": 1e-300, "omega": 1e-300}, spaced=False)
+# negative values in exponent notation, each a separate argument
+@example(flags={"t0": -1e20, "z-re": -5e-324, "alpha": -math.inf}, spaced=True)
+def test_extreme_floats_exit_cleanly_or_with_one_error_line(command, flags, spaced):
+    written = ([f"--{k}", repr(v)] if spaced else [f"--{k}={v!r}"] for k, v in flags.items())
+    assert_output_contract([command, "--samples", "3", "--grid-n", "16", *(a for w in written for a in w)])
 
 
 # the output-digest tool's invocations sit at the edges of the domain, of
@@ -785,6 +789,40 @@ class TestMalformedFlagValues:
         code, out, err = run(capsys, "profile", "--bogus")
         assert code == 2 and out == ""
         assert err.startswith("usage: switchosc ") and "unrecognized arguments: --bogus" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("epsilon", "--t0", "-1e3", "--t1", "-1", "--samples", "3"),
+        ("profile", "--t0", "-2.5E-1", "--t1", "-1e-2", "--samples", "3", "--format", "json"),
+        ("wigner", "--z-re", "-1e-3", "--z-im", "-.5e1", "--t", "-2e0", "--grid-n", "16"),
+        ("moments", "--alpha", "-0e0", "--samples", "3"),
+        # abbreviated flags, as argparse reads them
+        ("epsilon", "--t0", "-1e3", "--t1", "-1", "--sam", "3", "--n-sig", "4e0"),
+    ])
+    def test_negative_values_in_exponent_notation_read_alike_in_both_spellings(self, capsys, argv):
+        # argparse alone reads a separate '-1e3' as a flag
+        joined = [argv[0], *(f"{k}={v}" for k, v in zip(argv[1::2], argv[2::2]))]
+        spaced = run(capsys, *argv)
+        assert spaced == run(capsys, *joined)
+        assert spaced[0] == 0 and spaced[2] == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--t0", "-inf"], "need finite t0 < t1, got t0=-inf, t1=10.0"),
+        (["--samples", "-1e3"], "samples must be an int, got '-1e3'"),
+        (["--samples", "-3"], "samples must be at least 2, got -3"),
+    ])
+    def test_negative_values_that_fail_their_checks_give_one_error_line(self, capsys, argv, message):
+        assert run(capsys, "profile", *argv) == (2, "", f"error: {message}\n")
+
+    def test_flag_types_name_every_long_flag_of_each_subcommand(self):
+        sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        for parser in sub.choices.values():
+            flags = {s for action in parser._actions for s in action.option_strings if s.startswith("--")}
+            assert flags == set(cli._FLAG_TYPES)
+
+    def test_a_flag_followed_by_a_flag_keeps_the_usage_message(self, capsys):
+        code, out, err = run(capsys, "profile", "--t0", "--t1", "-1e3")
+        assert code == 2 and out == ""
+        assert err.startswith("usage: switchosc ") and "argument --t0: expected one argument" in err
 
 
 class TestJsonTables:

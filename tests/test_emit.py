@@ -41,6 +41,12 @@ def assert_text(got: str, expected: str) -> None:
         pytest.fail(f"texts differ first at {at}: written {got[lo:at + 30]!r}, expected {expected[lo:at + 30]!r}")
 
 
+def grid_text(q, p, w) -> str:
+    """The lines ``q,p,w`` of a grid, by repr."""
+    return "\n".join(f"{qv!r},{pv!r},{wv!r}" for qv, row in zip(q.tolist(), w.tolist())
+                     for pv, wv in zip(p.tolist(), row))
+
+
 class TestDeterministicSweep:
     def test_zeros_extremes_and_layout_boundaries(self):
         assert_reprs([0.0, -0.0, 5e-324, -5e-324, 1e-323, 1.7976931348623157e308,
@@ -108,9 +114,7 @@ class TestShapes:
         rng = np.random.default_rng(7)
         q, p = np.sort(rng.standard_normal(17)), -np.sort(rng.random(300))
         w = rng.random((17, 300)) * 10.0 ** rng.integers(-8, 3, (17, 300))
-        expected = "\n".join(f"{qv!r},{pv!r},{wv!r}"
-                             for qv, row in zip(q.tolist(), w.tolist()) for pv, wv in zip(p.tolist(), row))
-        assert "".join(emit.grid_chunks(q, p, w)) == expected
+        assert "".join(emit.grid_chunks(q, p, w)) == grid_text(q, p, w)
 
     def test_tables_match_an_exact_construction(self):
         t = emit._tables()
@@ -177,9 +181,97 @@ class TestPlanesThatAreSkipped:
         w[20, 7] = 1e-20
         w[40, 0], w[45, 299] = -0.0, 12345.5
         w[56, 299] = 1e17
-        expected = "\n".join(f"{qv!r},{pv!r},{wv!r}"
-                             for qv, row in zip(q.tolist(), w.tolist()) for pv, wv in zip(p.tolist(), row))
-        assert_text("".join(emit.grid_chunks(q, p, w)), expected)
+        assert_text("".join(emit.grid_chunks(q, p, w)), grid_text(q, p, w))
+
+
+def shortest_calls(monkeypatch) -> list:
+    """The number of values of each ``emit._shortest`` call; the calls still run."""
+    sizes = []
+    real = emit._shortest
+
+    def record(bits):
+        sizes.append(bits.size)
+        return real(bits)
+
+    monkeypatch.setattr(emit, "_shortest", record)
+    return sizes
+
+
+def palindrome(n: int, seed: int = 5) -> np.ndarray:
+    """``n`` values in [1e-3, 1e3) that read the same backwards, bit for bit."""
+    half = np.random.default_rng(seed).uniform(1e-3, 1e3, (n + 1) // 2)
+    return np.concatenate((half, half[:n // 2][::-1]))
+
+
+class TestMirroredSequences:
+    """A sequence that equals its own reverse bit for bit is formatted in its first half only."""
+
+    B = emit.BLOCK
+    # the middle value inside the first block (1 to B + 1), at the end of the first
+    # (2B - 1: value B - 1), at the start of the second (2B + 1: value B), and the
+    # two halves meeting on a block's end (2B) or inside a block (2B + 2, 3B + 10)
+    LENGTHS = (1, 2, 3, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 2, 3 * B + 10)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_palindromes_of_one_row_and_of_one_column(self, monkeypatch, n):
+        x = palindrome(n)
+        sizes = shortest_calls(monkeypatch)
+        assert_text(table(x.reshape(1, -1), " ", ""), " ".join(map(repr, x.tolist())))
+        assert sum(sizes) == (n + 1) // 2
+        assert_text(table(x.reshape(-1, 1), ",", "],["), "],[".join(map(repr, x.tolist())))
+
+    @pytest.mark.parametrize("shape", [(1365, 6), (2731, 3), (3, 2731), (2049, 4)])
+    def test_palindromic_tables_of_several_columns(self, shape):
+        a = palindrome(shape[0] * shape[1]).reshape(shape)
+        assert_text(table(a, ",", "\n"), "\n".join(",".join(map(repr, row)) for row in a.tolist()))
+
+    # each needs a word plane that values in [1e-3, 1e3) do not
+    WIDER = (-1.5, -0.0, 12345.5, 2.5e17, 1.5e-5)
+
+    @pytest.mark.parametrize("value", WIDER)
+    @pytest.mark.parametrize("at", [0, 3, B - 1, B, B + 4])
+    def test_mirrored_blocks_of_different_widths(self, value, at):
+        # 2B + 10 values: the first half ends 5 values into the second block, so the
+        # second block copies words from both kept blocks, and the third from the first
+        x = palindrome(2 * self.B + 10, seed=at)
+        x[at] = x[-1 - at] = value
+        assert_text(table(x.reshape(1, -1), ",", ""), ",".join(map(repr, x.tolist())))
+        a = x.reshape(-1, 2)
+        assert_text(table(a, ",", "\n"), "\n".join(",".join(map(repr, row)) for row in a.tolist()))
+
+    @pytest.mark.parametrize("n_q", [26, 27, 57, 58])
+    @pytest.mark.parametrize("wide", [(), ((0, 5), -0.5), ((13, 0), 1e4), ((12, 299), 1e-300)])
+    def test_grids_that_read_the_same_backwards(self, monkeypatch, n_q, wide):
+        # 13 rows of 300 a block: the middle row ends the second block for 26 rows,
+        # and lies inside one for 27, 57 and 58
+        rng = np.random.default_rng(n_q)
+        q, p = np.sort(rng.standard_normal(n_q)), np.linspace(-2.5, 2.5, 300)
+        w = palindrome(n_q * 300, seed=n_q).reshape(n_q, 300)
+        if wide:
+            (i, j), value = wide
+            w[i, j] = w[-1 - i, -1 - j] = value
+        sizes = shortest_calls(monkeypatch)
+        assert_text("".join(emit.grid_chunks(q, p, w)), grid_text(q, p, w))
+        assert sum(sizes) == (w.size + 1) // 2
+
+    @pytest.mark.parametrize("n", [2, 2 * emit.BLOCK + 10, 3 * emit.BLOCK + 1])
+    @pytest.mark.parametrize("at", [0, emit.BLOCK - 1])
+    @pytest.mark.parametrize("change", ["signed zero", "last bit"])
+    def test_near_palindromes_take_the_plain_path(self, monkeypatch, n, at, change):
+        # both equal their reverse under float ==, which must not decide
+        x = palindrome(n)
+        at = min(at, n // 2 - 1)
+        if change == "signed zero":
+            x[at], x[-1 - at] = 0.0, -0.0
+        else:
+            x[at] = np.nextafter(x[at], np.inf)
+        sizes = shortest_calls(monkeypatch)
+        assert_text(table(x.reshape(1, -1), ",", ""), ",".join(map(repr, x.tolist())))
+        assert sum(sizes) == n
+        for w in (x.reshape(1, -1), x.reshape(-1, 1)):
+            q, p = np.arange(float(len(w))), np.linspace(-1.0, 1.0, w.shape[1])
+            assert_text("".join(emit.grid_chunks(q, p, w)), grid_text(q, p, w))
+        assert sum(sizes) == 3 * n
 
 
 class TestDocumentLayout:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchosc import (
     CovarianceState,
@@ -21,7 +22,7 @@ from switchosc import (
     wigner_grid,
     wigner_value,
 )
-from switchosc.wigner import _simpson_weights
+from switchosc.wigner import _odd_offsets, _simpson_weights
 
 FIG = OscParams()
 FLAT = OscParams(alpha=0.0)
@@ -65,12 +66,18 @@ class TestPointValue:
             wigner_value(0.0, 0.0, fm, CovarianceState(sq2=1.0, sp2=1.0, cqp=0.0), 1.0)
 
     def test_grid_cells_are_point_values_bit_for_bit(self):
+        # each cell is the density at its own offsets from the means; wigner_value
+        # at the axis values subtracts the means again and may land an ulp away
         t = 0.3
         g = wigner_grid(t, Z, FIG, resolution=(17, 24))
         fm = first_moments(Z, t, FIG)
         cov = second_moments(t, FIG)
-        points = [[wigner_value(q, p, fm, cov, FIG.hbar) for p in g.p_axis.tolist()]
-                  for q in g.q_axis.tolist()]
+        dq = _odd_offsets(17, 6.0 * math.sqrt(cov.sq2))
+        dp = _odd_offsets(24, 6.0 * math.sqrt(cov.sp2))
+        assert np.array_equal(g.q_axis, fm.q_mean + dq) and np.array_equal(g.p_axis, fm.p_mean + dp)
+        origin = FirstMoments(0.0, 0.0)
+        points = [[wigner_value(q, p, origin, cov, FIG.hbar) for p in dp.tolist()]
+                  for q in dq.tolist()]
         assert np.array(points).tobytes() == g.values.tobytes()
 
 
@@ -94,6 +101,33 @@ class TestGrid:
     def test_values_nonnegative(self):
         g = wigner_grid(1.0, Z, FIG, resolution=(32, 32))
         assert np.all(g.values >= 0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(aw=st.sampled_from([0.0, 0.5, 0.97]), t=st.floats(-5.0, 8.0),
+           z=st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+           n=st.tuples(st.integers(16, 80), st.integers(16, 80)),
+           widths=st.tuples(st.floats(3.0, 9.0), st.floats(3.0, 9.0)))
+    def test_cells_equal_their_mirror_cells_bit_for_bit(self, aw, t, z, n, widths):
+        g = wigner_grid(t, z, OscParams(alpha=aw), half_widths=widths, resolution=n)
+        assert g.values.tobytes() == g.values[::-1, ::-1].tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.97])
+    @pytest.mark.parametrize("n", [17, 225])
+    def test_odd_grid_centre_is_the_peak_at_the_means(self, alpha, n):
+        p = OscParams(alpha=alpha, hbar=0.7)
+        g = wigner_grid(0.9, Z, p, resolution=(n, n + 2))
+        fm = first_moments(Z, 0.9, p)
+        c, d = n // 2, n // 2 + 1
+        assert g.q_axis[c] == fm.q_mean and g.p_axis[d] == fm.p_mean
+        assert g.values[c, d] == 1.0 / (math.pi * p.hbar)
+
+    @pytest.mark.parametrize("n", [16, 17, 255, 256])
+    def test_offsets_are_exactly_odd_and_end_at_the_half_width(self, n):
+        d = _odd_offsets(n, 6.1 * math.sqrt(0.37))
+        # exact, as == is on nonzero doubles; an odd n's middle offset is 0.0
+        assert np.array_equal(d, -d[::-1])
+        assert d[-1] == 6.1 * math.sqrt(0.37) and np.all(np.diff(d) > 0.0)
+        assert np.allclose(np.diff(d), d[-1] * 2.0 / (n - 1), rtol=1e-12, atol=0.0)
 
     def test_vacuum_grid_is_point_symmetric(self):
         g = wigner_grid(0.0, 0.0, FLAT, resolution=(64, 64))

@@ -21,9 +21,11 @@ that fail or sit at the edge of double precision or time resolution, two
 whose omega it refuses (``--omega=1e-200``), a `coherence` and a
 `validate` whose flat post-switch envelope has an m*Omega that underflows,
 the longest `coherence` window the size rule accepts at the default
-parameters and the next one it refuses, a few small outputs, a few large
-ones that span many blocks of the array float formatter, and a few that
-read settings from a config file.
+parameters and the next one it refuses, negative flag values in exponent
+notation written as separate arguments, a few small outputs, a few large
+ones that span many blocks of the array float formatter (grids of odd and
+even size among them, whose first half ends inside a block, in its last
+row or on its end), and a few that read settings from a config file.
 """
 
 from __future__ import annotations
@@ -86,6 +88,8 @@ EDGE_CASES = (
     ("coherence", "--t1=138841.66261377576"),
     # a table window the doubles cannot resolve
     ("epsilon", "--t0=1e20", "--t1=1.0000000000001e20", "--samples=3"),
+    # negative values in exponent notation, each a separate argument
+    ("epsilon", "--t0", "-1e3", "--t1", "-1", "--samples", "3"),
     # flag values that do not convert to their setting's type, or are empty
     ("profile", "--samples=three"),
     ("profile", "--format=xml"),
@@ -98,11 +102,14 @@ EDGE_CASES = (
     *(("wigner", "--grid-n=16", f"--format={fmt}") for fmt in FORMATS),
 )
 # outputs of many formatter blocks: tables of about 70000 and 60000 values, grids of
-# 50625 cells, three-digit exponents of both signs, and tables whose blocks differ in
-# the words their values need
+# 50625 to 65536 cells, three-digit exponents of both signs, and tables whose blocks
+# differ in the words their values need
 LARGE_CASES = (
     *((cmd, f"--format={fmt}", "--samples=10001") for cmd in ("epsilon", "moments") for fmt in FORMATS),
-    *(("wigner", f"--format={fmt}", "--grid-n=225") for fmt in FORMATS),
+    # grids that read the same backwards, whose first half ends inside a block
+    # (225: 18 rows a block, middle row 113), in the last row of one (255: 16
+    # rows a block, middle row 128) and on a block's end (256)
+    *(("wigner", f"--format={fmt}", f"--grid-n={n}") for n in (225, 255, 256) for fmt in FORMATS),
     ("phase-diagram", "--z-re=1e200", "--samples=2001"),
     ("phase-diagram", "--omega=1e-200", "--z-re=1e200", "--samples=2001", "--format=json"),
     # integer parts of 10**4 and more, and negatives, in some blocks only
